@@ -10,7 +10,8 @@ solver, and checks two open claims about the family maximum at desk scale.
 from .graph import (Graph, ComponentSummary, Threshold, MAX_VERTICES,
                     proportion, parse_proportion, edgeless, path, cycle,
                     complete, complete_bipartite, disjoint_union)
-from .solver import (DisconnectingWitness, copvc_exact, copec_exact,
+from .solver import (DisconnectingWitness, EdgeSolverLimitError,
+                     MAX_EDGE_SOLVER_VERTICES, copvc_exact, copec_exact,
                      copvc_value, copec_value, verify_witness)
 from .formulas import (FormulaResult, ClassSpec, FormulaCheck,
                        DiscrepancyEntry, PROVEN_FORMULAS,
@@ -40,7 +41,8 @@ __all__ = [
     "Graph", "ComponentSummary", "Threshold", "MAX_VERTICES",
     "proportion", "parse_proportion", "edgeless", "path", "cycle",
     "complete", "complete_bipartite", "disjoint_union",
-    "DisconnectingWitness", "copvc_exact", "copec_exact",
+    "DisconnectingWitness", "EdgeSolverLimitError", "MAX_EDGE_SOLVER_VERTICES",
+    "copvc_exact", "copec_exact",
     "copvc_value", "copec_value", "verify_witness",
     "FormulaResult", "ClassSpec", "FormulaCheck", "DiscrepancyEntry",
     "PROVEN_FORMULAS", "copvc_path", "copvc_cycle",

@@ -1,8 +1,9 @@
 """Command-line surface tying the solver, formulas, family statistics, and
 conjecture checkers together.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible request (edge
-disconnection at floor(r*n) = 0), 3 discrepancy in a settled formula.
+Exit codes: 0 success, 1 usage error (including an input over a solver's
+size limit), 2 infeasible request (edge disconnection at floor(r*n) = 0),
+3 discrepancy in a settled formula.
 Ratios are always written A/B; decimals are rejected so thresholds stay
 exact.
 """
@@ -116,12 +117,15 @@ def _cmd_compute(args) -> int:
         g = parse_edge_list(handle.read())
     inputs = {"file": args.graph, "n": g.n, "m": g.m,
               "r": fraction_str(args.r), "mode": args.mode}
-    solve = copvc_exact if args.mode == "vertex" else copec_exact
+    if args.mode == "vertex":
+        solve, method = copvc_exact, "exact-search"
+    else:
+        solve, method = copec_exact, "partition-dp"
     witness = solve(g, args.r)
     report = build_report(
         "compute", inputs, witness.cardinality,
         witness=witness_payload(witness) if args.witness else None,
-        method="exact-search",
+        method=method,
     )
     if not witness.feasible:
         report["infeasible"] = True

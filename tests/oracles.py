@@ -19,15 +19,22 @@ def brute_min_vertex_set(g: Graph, r) -> int:
     raise AssertionError("removing all vertices always fails the graph")
 
 
-def brute_min_edge_set(g: Graph, r) -> int | None:
-    """Minimum edge disconnecting cardinality, or None when infeasible."""
+def brute_lex_first_edge_set(g: Graph, r) -> tuple | None:
+    """The first disconnecting subset in combinations(g.edges(), k) at the
+    minimum k, or None when infeasible."""
     t = Threshold.for_order(r, g.n)
     edges = g.edges()
     for k in range(len(edges) + 1):
         for subset in combinations(edges, k):
             if g.remove_edges(subset).is_failure_state(t):
-                return k
+                return subset
     return None
+
+
+def brute_min_edge_set(g: Graph, r) -> int | None:
+    """Minimum edge disconnecting cardinality, or None when infeasible."""
+    found = brute_lex_first_edge_set(g, r)
+    return None if found is None else len(found)
 
 
 def brute_max_cut(g: Graph) -> int:

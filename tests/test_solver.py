@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from propconn.graph import (Graph, complete, cycle, disjoint_union, edgeless,
                             path)
-from propconn.solver import (DisconnectingWitness, copec_exact, copec_value,
+from propconn.solver import (MAX_EDGE_SOLVER_VERTICES, DisconnectingWitness,
+                             EdgeSolverLimitError, copec_exact, copec_value,
                              copvc_exact, copvc_value, verify_witness)
 from propconn.enumeration import enumerate_gnm
 
 from conftest import SOLVER_GRID, graphs, proportions
-from oracles import brute_min_edge_set, brute_min_vertex_set
+from oracles import (brute_lex_first_edge_set, brute_min_edge_set,
+                     brute_min_vertex_set)
 
 HALF = Fraction(1, 2)
 
@@ -72,16 +74,37 @@ def test_verify_witness_examples():
     assert verify_witness(edgeless(4), HALF, DisconnectingWitness("vertex", (), 0))
 
 
+def assert_lex_first_edge_witness(g, r):
+    w = copec_exact(g, r)
+    expected = brute_lex_first_edge_set(g, r)
+    if expected is None:
+        assert not w.feasible
+    else:
+        assert w.elements == expected and w.cardinality == len(expected)
+
+
 def test_exhaustive_against_brute_force_small():
-    # every class on up to 5 vertices, full solver grid
+    # every class on up to 5 vertices, full solver grid; the edge witness
+    # must be the lex-first minimum set, not just any minimum set
     for n in range(1, 6):
         for m in range(comb(n, 2) + 1):
             for g in enumerate_gnm(n, m):
                 for r in SOLVER_GRID:
                     assert copvc_exact(g, r).cardinality == brute_min_vertex_set(g, r)
-                    w = copec_exact(g, r)
-                    expected = brute_min_edge_set(g, r)
-                    assert (w.cardinality if w.feasible else None) == expected
+                    assert_lex_first_edge_witness(g, r)
+
+
+@settings(deadline=None, max_examples=60)
+@given(graphs(min_n=1, max_n=4), graphs(min_n=1, max_n=4), proportions(),
+       st.data())
+def test_edge_witness_lex_first_across_components(a, b, r, data):
+    # each oversized component is solved on its own; the merged witness must
+    # still be the lex-first minimum set of the whole graph, also when the
+    # components' labels interleave
+    g = disjoint_union(a, b)
+    label = data.draw(st.permutations(range(g.n)))
+    g = Graph(g.n, [(label[u], label[v]) for u, v in g.edges()])
+    assert_lex_first_edge_witness(g, r)
 
 
 def test_exhaustive_against_brute_force_n6_sample():
@@ -156,10 +179,30 @@ def test_vertex_witness_is_minimum_and_lex_first(g, r):
         )
 
 
-def test_dp_matches_subset_search_fallback():
-    from propconn.solver import _min_edge_cut_by_search, _min_edge_cut_value
+def test_dp_matches_brute_force_edge_oracle():
     for g in [path(6), cycle(6), complete(4),
               disjoint_union(complete(3), path(3)),
               Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5)])]:
         for tau in (1, 2, 3):
-            assert _min_edge_cut_value(g, tau) == _min_edge_cut_by_search(g, tau)
+            assert copec_value(g, tau) == brute_min_edge_set(g, Fraction(tau, g.n))
+
+
+def test_edge_solver_rejects_component_over_limit():
+    g = path(MAX_EDGE_SOLVER_VERTICES + 1)
+    with pytest.raises(EdgeSolverLimitError):
+        copec_exact(g, HALF)
+    with pytest.raises(EdgeSolverLimitError):
+        copec_value(g, 1)
+
+
+def test_edge_solver_limit_counts_only_oversized_components():
+    # 30 vertices in all, but no component the DP must split is over the limit
+    k5s = disjoint_union(*[complete(5)] * 6)
+    assert k5s.n > MAX_EDGE_SOLVER_VERTICES
+    w = copec_exact(k5s, Fraction(1, 10))
+    assert w.cardinality == 6 * copec_value(complete(5), 3) == 6 * 6
+    assert verify_witness(k5s, Fraction(1, 10), w)
+    # a long path at most tau vertices long needs no cut at all
+    g = disjoint_union(path(30), edgeless(4))
+    assert copec_exact(g, Fraction(9, 10)).cardinality == 0
+    assert copec_value(g, 30) == 0
