@@ -160,22 +160,6 @@ def _balanced_partitions(n: int, k: int):
     yield from rec(tuple(range(n)), [])
 
 
-def _connected_within(g: Graph, mask: int) -> bool:
-    seed = mask & -mask
-    comp = seed
-    frontier = seed
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= g.rows[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & mask & ~comp
-        comp |= frontier
-    return comp == mask
-
-
 def _cross_edges_of_partition(g: Graph, blocks: tuple[int, ...]) -> int:
     internal = 0
     for block in blocks:
@@ -217,7 +201,7 @@ def check_equal_partition_conjecture(n: int, m: int, k: int) -> ConjectureVerdic
         if fallback is None:
             fallback = g
         for blocks in partitions:
-            if not all(_connected_within(g, b) for b in blocks):
+            if not all(g.grow_component(b & -b, b) == b for b in blocks):
                 continue
             cross = _cross_edges_of_partition(g, blocks)
             if best_cross is None or cross < best_cross:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from .graph import Graph, Threshold, path, cycle, complete, complete_bipartite
-from .solver import copvc_exact, copec_exact
+from .solver import copvc_value, copec_value
 
 # Formula identifiers whose values the discrepancy harness treats as
 # settled; the cycle variants stay under adjudication and never fail a run.
@@ -211,10 +211,11 @@ def formula_vs_oracle(spec: ClassSpec, r: Fraction, mode: str) -> DiscrepancyEnt
     """Run the matching formula(s) and the exact solver on a concrete
     instance and record both sides.  Cycle entries carry both variants."""
     g = spec.build()
+    tau = _tau(r, g.n)
     if mode == "vertex":
-        oracle = copvc_exact(g, r).cardinality
+        oracle = copvc_value(g, tau)
     elif mode == "edge":
-        oracle = copec_exact(g, r).cardinality
+        oracle = copec_value(g, tau)
     else:
         raise ValueError(f"mode must be 'vertex' or 'edge', got {mode!r}")
     checks = tuple(

@@ -189,24 +189,45 @@ class Graph:
         rows = tuple((~self.rows[v]) & full & ~(1 << v) for v in range(self.n))
         return Graph._from_rows(self.n, rows)
 
+    def grow_component(self, seed: int, within: int,
+                       cap: int | None = None) -> int:
+        """The vertex mask of the component holding the vertex bit ``seed``
+        in the subgraph induced on the vertex mask ``within``.
+
+        With a cap, growth stops as soon as the mask holds more than cap
+        vertices, and that partial mask is returned: a result of order
+        > cap means the component is larger than cap, nothing more.
+        """
+        rows = self.rows
+        comp = todo = seed
+        while todo:
+            low = todo & -todo
+            new = rows[low.bit_length() - 1] & within & ~comp
+            comp |= new
+            if cap is not None and comp.bit_count() > cap:
+                break
+            todo = (todo ^ low) | new
+        return comp
+
     def component_masks(self) -> list[int]:
         masks = []
         remaining = (1 << self.n) - 1
         while remaining:
-            comp = remaining & -remaining
-            frontier = comp
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    low = f & -f
-                    nxt |= self.rows[low.bit_length() - 1]
-                    f ^= low
-                frontier = nxt & remaining & ~comp
-                comp |= frontier
+            comp = self.grow_component(remaining & -remaining, remaining)
             masks.append(comp)
-            remaining &= ~comp
+            remaining ^= comp
         return masks
+
+    def has_component_over(self, cap: int, within: int | None = None) -> bool:
+        """True iff some component of the subgraph induced on ``within``
+        (the whole graph by default) has more than cap vertices."""
+        remaining = (1 << self.n) - 1 if within is None else within
+        while remaining.bit_count() > cap:
+            comp = self.grow_component(remaining & -remaining, remaining, cap)
+            if comp.bit_count() > cap:
+                return True
+            remaining ^= comp
+        return False
 
     def components(self) -> ComponentSummary:
         orders = sorted((m.bit_count() for m in self.component_masks()),
@@ -222,11 +243,7 @@ class Graph:
         The empty graph is vacuously failed.  The threshold may come from an
         original order larger than this graph's current order.
         """
-        tau = threshold.tau
-        for mask in self.component_masks():
-            if mask.bit_count() > tau:
-                return False
-        return True
+        return not self.has_component_over(threshold.tau)
 
 
 def edgeless(n: int) -> Graph:

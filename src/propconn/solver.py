@@ -4,9 +4,12 @@ These solvers are the ground truth against which every closed-form value in
 the package is checked, so they favor exhaustive-but-pruned strategies over
 heuristics.
 
-Vertex side: size-ascending subset search.  Candidate sets are filtered by
-the necessary condition that every oversized component must lose at least
-one vertex, and a greedy bound caps the search depth.
+Vertex side: the optimum adds up over components, so each component of
+order k > tau is searched on its own, its vertex subsets in size-ascending,
+then lex order, for sizes 1 .. k - tau (any k - tau vertices leave only
+tau).  A candidate is tested on the mask of the component's surviving
+vertices, with no relabeled graph, and each growth of a surviving
+component stops as soon as it passes tau.
 
 Edge side: a minimum edge disconnecting set is exactly the set of edges
 crossing an optimal partition of the vertices into parts of order at most
@@ -65,24 +68,30 @@ def _oversized_masks(g: Graph, tau: int) -> list[int]:
     return [m for m in g.component_masks() if m.bit_count() > tau]
 
 
-def _greedy_vertex_bound(g: Graph, t: Threshold) -> int:
-    """Feasible (not necessarily minimum) count: repeatedly delete the
-    busiest vertex of an oversized component."""
-    current = g
-    count = 0
-    while not current.is_failure_state(t):
-        oversized = 0
-        for mask in current.component_masks():
-            if mask.bit_count() > t.tau:
-                oversized |= mask
-        best_v = -1
-        best_deg = -1
-        for v in range(current.n):
-            if oversized >> v & 1 and current.degree(v) > best_deg:
-                best_v, best_deg = v, current.degree(v)
-        current = current.remove_vertices([best_v])
-        count += 1
-    return count
+def _min_vertex_set(g: Graph, tau: int) -> list[int]:
+    """The lexicographically first minimum vertex set whose removal leaves
+    no component of order > tau, as sorted labels.
+
+    Each oversized component is solved on its own by trying its vertex
+    subsets in size-ascending, then lex order; a candidate passes when the
+    surviving vertices of the component hold no component of order > tau.
+    For equal-size sets, A sorts before B exactly when min(A ^ B) lies in
+    A, and A ^ B splits by component, so the union of the per-component
+    lex-first sets is the lex-first set of the whole graph.
+    """
+    if tau <= 0:
+        # Any surviving vertex is a component of order 1 > 0.
+        return list(range(g.n))
+    removed = 0
+    for comp in _oversized_masks(g, tau):
+        bits = [1 << v for v in range(g.n) if comp >> v & 1]
+        removed |= next(
+            (s for k in range(1, len(bits) - tau)
+             for s in map(sum, combinations(bits, k))
+             if not g.has_component_over(tau, comp ^ s)),
+            # Removing any len(bits) - tau vertices leaves only tau.
+            sum(bits[:len(bits) - tau]))
+    return [v for v in range(g.n) if removed >> v & 1]
 
 
 def copvc_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
@@ -93,24 +102,8 @@ def copvc_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
     (by sorted labels) is returned.
     """
     _check_solver_input(g)
-    t = Threshold.for_order(r, g.n)
-    if t.tau == 0:
-        # Any surviving vertex is a component of order 1 > 0.
-        return DisconnectingWitness("vertex", tuple(range(g.n)), g.n)
-    if g.is_failure_state(t):
-        return DisconnectingWitness("vertex", (), 0)
-    oversized = _oversized_masks(g, t.tau)
-    bound = _greedy_vertex_bound(g, t)
-    for k in range(1, bound + 1):
-        for subset in combinations(range(g.n), k):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            if any(not mask & comp for comp in oversized):
-                continue
-            if g.remove_vertices(subset).is_failure_state(t):
-                return DisconnectingWitness("vertex", subset, k)
-    raise AssertionError("greedy bound was feasible; search must succeed")
+    chosen = _min_vertex_set(g, Threshold.for_order(r, g.n).tau)
+    return DisconnectingWitness("vertex", tuple(chosen), len(chosen))
 
 
 def _internal_edge_counts(rows: tuple[int, ...]) -> list[int]:
@@ -243,23 +236,7 @@ def copvc_value(g: Graph, tau: int) -> int:
     """Cardinality-only vertex solve against an explicit tau (which may come
     from an original order other than g.n)."""
     _check_solver_input(g)
-    if tau <= 0:
-        return g.n
-    t = Threshold(tau, g.n, False)
-    if g.is_failure_state(t):
-        return 0
-    oversized = _oversized_masks(g, tau)
-    bound = _greedy_vertex_bound(g, t)
-    for k in range(1, bound + 1):
-        for subset in combinations(range(g.n), k):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            if any(not mask & comp for comp in oversized):
-                continue
-            if g.remove_vertices(subset).is_failure_state(t):
-                return k
-    raise AssertionError("greedy bound was feasible; search must succeed")
+    return len(_min_vertex_set(g, tau))
 
 
 def copec_value(g: Graph, tau: int) -> int | None:

@@ -9,14 +9,20 @@ from itertools import combinations, permutations
 from propconn.graph import Graph, Threshold
 
 
-def brute_min_vertex_set(g: Graph, r) -> int:
-    """Minimum vertex disconnecting cardinality by scanning all subsets."""
+def brute_lex_first_vertex_set(g: Graph, r) -> tuple:
+    """The first disconnecting subset in combinations(range(g.n), k) at the
+    minimum k."""
     t = Threshold.for_order(r, g.n)
     for k in range(g.n + 1):
         for subset in combinations(range(g.n), k):
             if g.remove_vertices(subset).is_failure_state(t):
-                return k
+                return subset
     raise AssertionError("removing all vertices always fails the graph")
+
+
+def brute_min_vertex_set(g: Graph, r) -> int:
+    """Minimum vertex disconnecting cardinality by scanning all subsets."""
+    return len(brute_lex_first_vertex_set(g, r))
 
 
 def brute_lex_first_edge_set(g: Graph, r) -> tuple | None:

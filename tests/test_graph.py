@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -120,6 +121,30 @@ def test_component_orders_sum_and_removal(g, data):
         k = data.draw(st.integers(0, g.n))
         dropped = data.draw(st.permutations(range(g.n)))[:k]
         assert sum(g.remove_vertices(dropped).components().orders) == g.n - k
+
+
+@given(graphs(), st.data())
+def test_growth_within_mask_matches_networkx(g, data):
+    within = data.draw(st.integers(0, (1 << g.n) - 1))
+    induced = nx.Graph()
+    induced.add_nodes_from(v for v in range(g.n) if within >> v & 1)
+    induced.add_edges_from((u, v) for u, v in g.edges()
+                           if within >> u & 1 and within >> v & 1)
+    expected = [sum(1 << v for v in comp)
+                for comp in nx.connected_components(induced)]
+    caps = range(g.n + 1)
+    for comp in expected:
+        for seed in (1 << v for v in range(g.n) if comp >> v & 1):
+            assert g.grow_component(seed, within) == comp
+            for cap in caps:
+                # a capped growth stays inside the component and passes
+                # the cap exactly when the component does
+                capped = g.grow_component(seed, within, cap)
+                assert capped & ~comp == 0
+                assert (capped.bit_count() > cap) == (comp.bit_count() > cap)
+    for cap in caps:
+        assert g.has_component_over(cap, within) == any(
+            comp.bit_count() > cap for comp in expected)
 
 
 @given(st.integers(2, 10 ** 4), st.data())

@@ -12,8 +12,8 @@ from propconn.solver import (MAX_EDGE_SOLVER_VERTICES, DisconnectingWitness,
 from propconn.enumeration import enumerate_gnm
 
 from conftest import SOLVER_GRID, graphs, proportions
-from oracles import (brute_lex_first_edge_set, brute_min_edge_set,
-                     brute_min_vertex_set)
+from oracles import (brute_lex_first_edge_set, brute_lex_first_vertex_set,
+                     brute_min_edge_set, brute_min_vertex_set)
 
 HALF = Fraction(1, 2)
 
@@ -74,6 +74,12 @@ def test_verify_witness_examples():
     assert verify_witness(edgeless(4), HALF, DisconnectingWitness("vertex", (), 0))
 
 
+def assert_lex_first_vertex_witness(g, r):
+    w = copvc_exact(g, r)
+    expected = brute_lex_first_vertex_set(g, r)
+    assert w.elements == expected and w.cardinality == len(expected)
+
+
 def assert_lex_first_edge_witness(g, r):
     w = copec_exact(g, r)
     expected = brute_lex_first_edge_set(g, r)
@@ -84,13 +90,13 @@ def assert_lex_first_edge_witness(g, r):
 
 
 def test_exhaustive_against_brute_force_small():
-    # every class on up to 5 vertices, full solver grid; the edge witness
+    # every class on up to 5 vertices, full solver grid; both witnesses
     # must be the lex-first minimum set, not just any minimum set
     for n in range(1, 6):
         for m in range(comb(n, 2) + 1):
             for g in enumerate_gnm(n, m):
                 for r in SOLVER_GRID:
-                    assert copvc_exact(g, r).cardinality == brute_min_vertex_set(g, r)
+                    assert_lex_first_vertex_witness(g, r)
                     assert_lex_first_edge_witness(g, r)
 
 
@@ -105,6 +111,18 @@ def test_edge_witness_lex_first_across_components(a, b, r, data):
     label = data.draw(st.permutations(range(g.n)))
     g = Graph(g.n, [(label[u], label[v]) for u, v in g.edges()])
     assert_lex_first_edge_witness(g, r)
+
+
+@settings(deadline=None, max_examples=60)
+@given(graphs(min_n=2, max_n=5), graphs(min_n=2, max_n=5), st.data())
+def test_vertex_witness_lex_first_across_components(a, b, data):
+    # the vertex search also solves each oversized component on its own;
+    # tau stays below both parts' orders so both can need a cut
+    g = disjoint_union(a, b)
+    label = data.draw(st.permutations(range(g.n)))
+    g = Graph(g.n, [(label[u], label[v]) for u, v in g.edges()])
+    tau = data.draw(st.integers(1, min(a.n, b.n) - 1))
+    assert_lex_first_vertex_witness(g, Fraction(tau, g.n))
 
 
 def test_exhaustive_against_brute_force_n6_sample():
