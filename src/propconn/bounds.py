@@ -11,8 +11,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, isqrt
 
-from .graph import Graph
+from .graph import Graph, proportion
 from .enumeration import enumerate_gnm, family_profile
+from .families import extremal_by_enumeration
 
 MAX_CUT_VERTICES = 24
 
@@ -184,9 +185,9 @@ def check_equal_partition_conjecture(n: int, m: int, k: int) -> ConjectureVerdic
     maximizers, or None when no maximizer admits connected blocks at all.
     holds iff lhs == rhs.
     """
+    r = proportion(1, k)
     if n % k != 0:
         raise ValueError(f"k={k} must divide n={n}")
-    r = Fraction(1, k)
     profile = family_profile(n, m, r)
     if profile.edge_values is None:
         raise ValueError("equal-partition check needs floor(r*n) >= 1")
@@ -220,14 +221,11 @@ def check_coemax_upper_bound(n: int, m: int) -> ConjectureVerdict:
     if n % 2 != 0:
         raise ValueError("upper-bound check needs even n")
     r = Fraction(1, 2)
-    profile = family_profile(n, m, r)
-    coemax = max(profile.edge_values)
-    witness = next(g for g, v in zip(enumerate_gnm(n, m), profile.edge_values)
-                   if v == coemax)
+    coemax = extremal_by_enumeration(n, m, r, "coemax")
     rhs = Fraction(m, 2) + Fraction(7 * n, 12)
     return ConjectureVerdict("coemax_upper_bound", n, m, r,
-                             holds=coemax <= rhs, lhs=coemax, rhs=rhs,
-                             witness=witness)
+                             holds=coemax.value <= rhs, lhs=coemax.value,
+                             rhs=rhs, witness=coemax.witness)
 
 
 def bipartite_complement_duality_check(g: Graph) -> bool:

@@ -14,9 +14,8 @@ from fractions import Fraction
 from math import comb
 
 from .graph import parse_proportion
-from .solver import copvc_exact, copec_exact
-from . import formulas
-from .formulas import ClassSpec, formula_vs_oracle
+from .solver import MAX_EDGE_SOLVER_VERTICES, copvc_exact, copec_exact
+from .formulas import ClassSpec, formula_vs_oracle, formulas_for
 from . import families
 from .enumeration import MAX_ENUM_VERTICES
 from .bounds import check_coemax_upper_bound, check_equal_partition_conjecture
@@ -137,37 +136,20 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _formula_results(family: str, mode: str, args) -> list:
+def _cmd_formula(args) -> int:
+    family = _CLI_CLASS_NAMES[args.family]
+    inputs = {"class": args.family, "r": fraction_str(args.r), "mode": args.mode}
     if family == "complete_bipartite":
         if args.a is None or args.b is None:
             raise _UsageError("complete-bipartite needs --a and --b")
-        if mode == "edge":
-            raise _UsageError("no closed form for complete bipartite edge "
-                              "removal; use compute")
-        return [formulas.copvc_complete_bipartite(args.a, args.b, args.r)]
-    if args.n is None:
-        raise _UsageError(f"--n is required for class {family}")
-    if family == "path":
-        fn = formulas.copvc_path if mode == "vertex" else formulas.copec_path
-        return [fn(args.n, args.r)]
-    if family == "complete":
-        fn = formulas.copvc_complete if mode == "vertex" else formulas.copec_complete
-        return [fn(args.n, args.r)]
-    if mode == "vertex":
-        return [formulas.copvc_cycle_original_order(args.n, args.r),
-                formulas.copvc_cycle(args.n, args.r)]
-    return [formulas.copec_cycle_arc_cover(args.n, args.r),
-            formulas.copec_cycle(args.n, args.r)]
-
-
-def _cmd_formula(args) -> int:
-    family = _CLI_CLASS_NAMES[args.family]
-    results = _formula_results(family, args.mode, args)
-    inputs = {"class": args.family, "r": fraction_str(args.r), "mode": args.mode}
-    if family == "complete_bipartite":
+        spec = ClassSpec(family, a=args.a, b=args.b)
         inputs.update(a=args.a, b=args.b)
     else:
+        if args.n is None:
+            raise _UsageError(f"--n is required for class {family}")
+        spec = ClassSpec(family, n=args.n)
         inputs.update(n=args.n)
+    results = formulas_for(spec, args.r, args.mode)
     report = build_report("formula", inputs, results[0].value,
                           method=results[0].formula_id)
     if len(results) > 1:
@@ -176,34 +158,39 @@ def _cmd_formula(args) -> int:
     return EXIT_OK
 
 
-def _extremal_formula_value(stat, n, m, r):
-    if stat == "covmin":
-        res = families.covmin(n, m, r)
-        return res.value, "formula", res.witness
-    if stat == "coemin":
-        res = families.coemin(n, m, r)
-        return res.value, "formula", res.witness
-    tail = (families.covmax_tail if stat == "covmax" else families.coemax_tail)(n, m, r)
-    return tail, "tail" if tail is not None else "unknown", None
+def _stat_value(stat: str, n: int, m: int, r: Fraction, enumerate_: bool):
+    """(value, method, witness, truth, mismatch, code) of a family statistic
+    as ``extremal`` and ``scan`` report it: the closed form or tail value
+    (None where unknown), the enumeration truth when asked for, and whether
+    both are known and differ.  A mismatch exits with EXIT_DISCREPANCY only
+    for covmin and coemin, whose closed forms are settled."""
+    if stat in ("covmin", "coemin"):
+        res = (families.covmin if stat == "covmin" else families.coemin)(n, m, r)
+        value, method, witness = res.value, "formula", res.witness
+    else:
+        value = (families.covmax_tail if stat == "covmax"
+                 else families.coemax_tail)(n, m, r)
+        method, witness = "tail" if value is not None else "unknown", None
+    truth = families.extremal_by_enumeration(n, m, r, stat) if enumerate_ else None
+    mismatch = truth is not None and value is not None and truth.value != value
+    code = EXIT_DISCREPANCY if mismatch and stat in ("covmin", "coemin") else EXIT_OK
+    return value, method, witness, truth, mismatch, code
 
 
 def _cmd_extremal(args) -> int:
     n, m, r, stat = args.n, args.m, args.r, args.stat
-    value, method, witness = _extremal_formula_value(stat, n, m, r)
+    value, method, witness, truth, mismatch, code = _stat_value(
+        stat, n, m, r, args.enumerate_)
     inputs = {"n": n, "m": m, "r": fraction_str(r), "stat": stat}
     report = build_report("extremal", inputs, value, method=method)
     if witness is not None:
         report["witness"] = encode_graph6(witness)
-    code = EXIT_OK
-    if args.enumerate_:
-        truth = families.extremal_by_enumeration(n, m, r, stat)
+    if truth is not None:
         report["enumeration"] = {"value": truth.value,
                                  "witness": encode_graph6(truth.witness)}
-        if value is not None and truth.value != value:
+        if mismatch:
             entry = {"stat": stat, "formula": value, "enumeration": truth.value}
             report["discrepancies"].append(entry)
-            if stat in ("covmin", "coemin"):
-                code = EXIT_DISCREPANCY
         if value is None:
             report["value"] = truth.value
             report["method"] = "enumeration"
@@ -216,14 +203,13 @@ def _cmd_scan(args) -> int:
     rows = []
     code = EXIT_OK
     for m in range(comb(n, 2) + 1):
-        value, method, witness = _extremal_formula_value(stat, n, m, r)
-        if args.enumerate_:
-            truth = families.extremal_by_enumeration(n, m, r, stat)
-            if value is not None and truth.value != value:
-                print(f"mismatch at m={m}: formula {value}, "
-                      f"enumeration {truth.value}", file=sys.stderr)
-                if stat in ("covmin", "coemin"):
-                    code = EXIT_DISCREPANCY
+        value, method, witness, truth, mismatch, m_code = _stat_value(
+            stat, n, m, r, args.enumerate_)
+        if mismatch:
+            print(f"mismatch at m={m}: formula {value}, "
+                  f"enumeration {truth.value}", file=sys.stderr)
+        code = max(code, m_code)
+        if truth is not None:
             value, method, witness = truth.value, "enumeration", truth.witness
         rows.append({
             "n": n, "m": m, "r": fraction_str(r), "stat": stat,
@@ -260,6 +246,12 @@ def _cmd_verify(args) -> int:
         grid = [parse_proportion(tok) for tok in args.r_grid.split(",")]
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    # Edge entries solve connected graphs of every order n <= n_max with
+    # floor(r*n) >= 1; refuse up front the runs that would reach n > bound.
+    if args.n_max > MAX_EDGE_SOLVER_VERTICES and any(
+            (r.numerator * args.n_max) // r.denominator >= 1 for r in grid):
+        raise _UsageError(f"--n-max {args.n_max} exceeds the edge solver "
+                          f"bound {MAX_EDGE_SOLVER_VERTICES} for this r-grid")
     failed = []
     warned = []
     checked = 0
@@ -318,20 +310,11 @@ def _verdict_payload(v) -> dict:
 
 def _cmd_conjecture(args) -> int:
     n = args.n
-    if n > MAX_ENUM_VERTICES:
-        raise _UsageError(f"conjecture checks enumerate G(n, m); n <= "
-                          f"{MAX_ENUM_VERTICES} required")
     ms = range(comb(n, 2) + 1) if args.all_m else [args.m]
-    verdicts = []
-    for m in ms:
-        if not 0 <= m <= comb(n, 2):
-            raise _UsageError(f"m={m} out of range for n={n}")
-        if args.name == "equal-partition":
-            verdicts.append(check_equal_partition_conjecture(n, m, args.k))
-        else:
-            if n % 2 != 0:
-                raise _UsageError("coemax-bound needs even n")
-            verdicts.append(check_coemax_upper_bound(n, m))
+    if args.name == "equal-partition":
+        verdicts = [check_equal_partition_conjecture(n, m, args.k) for m in ms]
+    else:
+        verdicts = [check_coemax_upper_bound(n, m) for m in ms]
     print(dump_report([_verdict_payload(v) for v in verdicts]))
     return EXIT_OK
 

@@ -122,14 +122,14 @@ def witness_payload(witness) -> list:
 
 
 def build_report(command: str, inputs: dict, value, witness=None,
-                 method: str | None = None, discrepancies=()) -> dict:
+                 method: str | None = None) -> dict:
     return {
         "command": command,
         "inputs": inputs,
         "value": value,
         "witness": witness,
         "method": method,
-        "discrepancies": list(discrepancies),
+        "discrepancies": [],
     }
 
 

@@ -189,13 +189,15 @@ class DiscrepancyEntry:
         return not self.failed_proven and self.any_match
 
 
-def _formulas_for(spec: ClassSpec, r: Fraction, mode: str) -> list[FormulaResult]:
+def formulas_for(spec: ClassSpec, r: Fraction, mode: str) -> list[FormulaResult]:
+    """The closed form(s) for one class instance and mode.  Cycles give
+    both variants; ``propconn formula`` reports the first as the value."""
     if spec.family == "path":
         return [copvc_path(spec.n, r) if mode == "vertex" else copec_path(spec.n, r)]
     if spec.family == "cycle":
         if mode == "vertex":
-            return [copvc_cycle(spec.n, r), copvc_cycle_original_order(spec.n, r)]
-        return [copec_cycle(spec.n, r), copec_cycle_arc_cover(spec.n, r)]
+            return [copvc_cycle_original_order(spec.n, r), copvc_cycle(spec.n, r)]
+        return [copec_cycle_arc_cover(spec.n, r), copec_cycle(spec.n, r)]
     if spec.family == "complete":
         return [copvc_complete(spec.n, r) if mode == "vertex"
                 else copec_complete(spec.n, r)]
@@ -221,6 +223,6 @@ def formula_vs_oracle(spec: ClassSpec, r: Fraction, mode: str) -> DiscrepancyEnt
     checks = tuple(
         FormulaCheck(f.formula_id, f.value, f.value == oracle,
                      f.formula_id in PROVEN_FORMULAS)
-        for f in _formulas_for(spec, r, mode)
+        for f in formulas_for(spec, r, mode)
     )
     return DiscrepancyEntry(spec, r, mode, oracle, checks)

@@ -143,6 +143,14 @@ def test_equal_partition_requires_divisibility():
         check_equal_partition_conjecture(5, 3, 2)
 
 
+def test_equal_partition_rejects_k_below_two():
+    # r = 1/k must satisfy 0 < r < 1; k = 1 would check r = 1, k = 0 divide
+    # by zero, and a negative k give a negative threshold
+    for k in (1, 0, -2):
+        with pytest.raises(ValueError):
+            check_equal_partition_conjecture(4, 2, k)
+
+
 def test_coemax_bound_examples():
     v = check_coemax_upper_bound(2, 1)
     assert v.holds and v.lhs == 1 and v.rhs == Fraction(1, 2) + Fraction(14, 12)

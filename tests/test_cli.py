@@ -23,13 +23,23 @@ def test_formula_complete(capsys):
 
 
 def test_formula_cycle_reports_both_variants(capsys):
-    code, out, _ = run(capsys, "formula", "--class", "cycle", "--n", "8",
-                       "--r", "1/4", "--mode", "vertex")
-    assert code == EXIT_OK
-    report = json.loads(out)
-    assert report["variants"] == {"cycle_vertex_original_order": 3,
-                                  "cycle_vertex_reduced_order": 4}
-    assert report["value"] == 3
+    expected = {
+        "vertex": ("cycle_vertex_original_order", 3,
+                   {"cycle_vertex_original_order": 3,
+                    "cycle_vertex_reduced_order": 4}),
+        "edge": ("cycle_edge_arc_cover", 4,
+                 {"cycle_edge_arc_cover": 4, "cycle_edge_path_reduction": 4}),
+    }
+    for mode, (method, value, variants) in expected.items():
+        code, out, _ = run(capsys, "formula", "--class", "cycle", "--n", "8",
+                           "--r", "1/4", "--mode", mode)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["variants"] == variants
+        assert report["method"] == method and report["value"] == value
+    code, out, _ = run(capsys, "formula", "--class", "complete-bipartite",
+                       "--a", "2", "--b", "3", "--r", "1/2", "--mode", "edge")
+    assert code == EXIT_USAGE and out == ""
 
 
 def test_compute_path_witness(tmp_path, capsys):
@@ -139,6 +149,24 @@ def test_verify_exits_clean_on_proven_formulas(capsys):
     assert any(w["formula"] == "cycle_vertex_reduced_order"
                for w in report["reported_variants"])
     assert report["piecewise_mismatches"]
+
+
+def test_verify_rejects_n_max_over_edge_solver_bound(capsys):
+    n_max = str(MAX_EDGE_SOLVER_VERTICES + 1)
+    code, out, err = run(capsys, "verify", "--n-max", n_max, "--r-grid", "1/2")
+    assert code == EXIT_USAGE
+    assert out == "" and f"--n-max {n_max} exceeds the edge solver bound" in err
+    # with floor(r * n_max) = 0 no edge entry runs, so the same n_max is fine
+    code, out, _ = run(capsys, "verify", "--n-max", n_max, "--r-grid", "1/20")
+    assert code == EXIT_OK and json.loads(out)["failed_proven"] == []
+
+
+def test_conjecture_equal_partition_k_below_two_usage_error(capsys):
+    for k in ("1", "0", "-2"):
+        code, out, err = run(capsys, "conjecture", "--name", "equal-partition",
+                             "--n", "4", "--k", k, "--all-m")
+        assert code == EXIT_USAGE
+        assert out == "" and "error" in err
 
 
 def test_conjecture_equal_partition_single_m(capsys):
