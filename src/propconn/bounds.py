@@ -1,6 +1,10 @@
 """Largest bipartite subgraph (max-cut), integer-exact lower bounds on it,
 and checkers for two open claims about the family maximum edge value.
 
+Max-cut is one branch and bound over the parts holding vertex 0, visited
+in lex order, so the first optimum it meets is the lex-first part; the
+optimum and that part come from the same pass.
+
 The checkers never assert: they return verdicts with the computed
 quantities on both sides, and a falsifying instance is a first-class
 result carrying its witness graph.
@@ -9,7 +13,7 @@ result carrying its witness graph.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb, isqrt
+from math import ceil, isqrt
 
 from .graph import Graph, proportion
 from .enumeration import enumerate_gnm, family_profile
@@ -38,81 +42,52 @@ class ConjectureVerdict:
     witness: Graph | None = None
 
 
-def _cut_value(g: Graph, side_a: int) -> int:
-    count = 0
-    mask = side_a
-    while mask:
-        low = mask & -mask
-        count += (g.rows[low.bit_length() - 1] & ~side_a).bit_count()
-        mask ^= low
-    return count
-
-
-def _best_cut_value(g: Graph) -> int:
-    """Exact max-cut value by branch and bound; vertex 0 is pinned to one
-    side, remaining vertices assigned in label order."""
-    n = g.n
-    rows = g.rows
-    degs = [rows[v].bit_count() for v in range(n)]
-    best = -1
-
-    def assign(v: int, side_a: int, side_b: int, cross: int, slack: int):
-        nonlocal best
-        # slack = max additional cross edges from vertices >= v
-        if cross + slack <= best:
-            return
-        if v == n:
-            best = max(best, cross)
-            return
-        row = rows[v]
-        to_a = (row & side_a).bit_count()
-        to_b = (row & side_b).bit_count()
-        rest = slack - degs[v]
-        assign(v + 1, side_a | (1 << v), side_b, cross + to_b, rest + to_b)
-        assign(v + 1, side_a, side_b | (1 << v), cross + to_a, rest + to_a)
-
-    total = sum(degs)
-    # Initial slack: every edge could cross (each counted once when its
-    # second endpoint is assigned).
-    assign(1, 1, 0, 0, total - degs[0])
-    return best
-
 def max_bipartite_subgraph(g: Graph) -> BipartiteWitness:
     """Bipartition of g maximizing crossing edges (exact max-cut).
 
     Tie-break: among maximizing bipartitions, the part containing vertex 0
-    is the lexicographically smallest such vertex set; it is found by a
-    second pass that emits candidate parts in exactly that order.
+    is the lexicographically smallest such vertex set (as a sorted tuple).
+
+    One branch and bound finds both: vertex 0 is pinned to part A and the
+    others are assigned in label order.  A node first scores the part that
+    stops there (every later vertex in B), then tries the next vertex in A,
+    then in B.  That visits parts in sorted-tuple lex order, a part before
+    its extensions, so keeping only strict gains leaves the lex-first
+    optimum.
     """
     if g.n > MAX_CUT_VERTICES:
         raise ValueError(f"max-cut search supports n <= {MAX_CUT_VERTICES}")
     if g.n == 0:
         return BipartiteWitness(((), ()), 0)
-    opt = _best_cut_value(g)
-    degs = [g.rows[v].bit_count() for v in range(g.n)]
-    suffix_deg = [0] * (g.n + 1)
-    for v in range(g.n - 1, -1, -1):
-        suffix_deg[v] = suffix_deg[v + 1] + degs[v]
+    n, rows = g.n, g.rows
+    best, best_a = -1, 0
 
-    def lex_first(side_a: int, cross: int, start: int) -> int | None:
-        # Emits candidate parts in lexicographic order of their sorted
-        # vertex tuples: the current set first, then each extension.
-        if cross == opt:
-            return side_a
-        for v in range(start, g.n):
-            # Admissible bound: each future vertex adds at most deg(v).
-            if cross + suffix_deg[v] < opt:
-                break
-            gain = (g.rows[v] & ~side_a).bit_count() - (g.rows[v] & side_a).bit_count()
-            found = lex_first(side_a | (1 << v), cross + gain, v + 1)
-            if found is not None:
-                return found
-        return None
+    def search(v: int, side_a: int, side_b: int, cross: int, a_rest: int,
+               slack: int):
+        # a_rest: edges from A to the unassigned vertices v..n-1;
+        # slack: edges with an endpoint in v..n-1, the most that can
+        # still cross.
+        nonlocal best, best_a
+        if cross + slack <= best:
+            return
+        if cross + a_rest > best:
+            best, best_a = cross + a_rest, side_a
+        if v == n:
+            return
+        row = rows[v]
+        to_a = (row & side_a).bit_count()
+        to_b = (row & side_b).bit_count()
+        ahead = (row >> (v + 1)).bit_count()
+        rest = slack - to_a - to_b
+        search(v + 1, side_a | 1 << v, side_b, cross + to_b,
+               a_rest - to_a + ahead, rest)
+        search(v + 1, side_a, side_b | 1 << v, cross + to_a, a_rest - to_a,
+               rest)
 
-    side_a = lex_first(1, degs[0], 1)
-    part_a = tuple(v for v in range(g.n) if side_a >> v & 1)
-    part_b = tuple(v for v in range(g.n) if not side_a >> v & 1)
-    return BipartiteWitness((part_a, part_b), opt)
+    search(1, 1, 0, 0, rows[0].bit_count(), g.m)
+    part_a = tuple(v for v in range(n) if best_a >> v & 1)
+    part_b = tuple(v for v in range(n) if not best_a >> v & 1)
+    return BipartiteWitness((part_a, part_b), best)
 
 
 def edwards_bound(m: int) -> int:
@@ -240,10 +215,13 @@ def bipartite_complement_duality_check(g: Graph) -> bool:
         return True
     gc = g.complement()
     target = g.n * g.n // 4
+    full = (1 << g.n) - 1
     for others in combinations(range(1, g.n), g.n // 2 - 1):
         side = 1
         for v in others:
             side |= 1 << v
-        if _cut_value(g, side) + _cut_value(gc, side) != target:
+        blocks = (side, full ^ side)
+        if (_cross_edges_of_partition(g, blocks)
+                + _cross_edges_of_partition(gc, blocks) != target):
             return False
     return True

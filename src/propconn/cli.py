@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .graph import parse_proportion
+from .graph import Threshold, parse_proportion
 from .solver import MAX_EDGE_SOLVER_VERTICES, copvc_exact, copec_exact
 from .formulas import ClassSpec, formula_vs_oracle, formulas_for
 from . import families
@@ -227,7 +227,7 @@ def _cmd_scan(args) -> int:
 def _verify_entries(n_max: int, grid: list[Fraction]):
     for r in grid:
         for n in range(2, n_max + 1):
-            tau = (r.numerator * n) // r.denominator
+            tau = Threshold.for_order(r, n).tau
             for mode in ("vertex", "edge"):
                 if tau >= 1:
                     yield formula_vs_oracle(ClassSpec("path", n=n), r, mode)
@@ -249,7 +249,7 @@ def _cmd_verify(args) -> int:
     # Edge entries solve connected graphs of every order n <= n_max with
     # floor(r*n) >= 1; refuse up front the runs that would reach n > bound.
     if args.n_max > MAX_EDGE_SOLVER_VERTICES and any(
-            (r.numerator * args.n_max) // r.denominator >= 1 for r in grid):
+            Threshold.for_order(r, args.n_max).tau >= 1 for r in grid):
         raise _UsageError(f"--n-max {args.n_max} exceeds the edge solver "
                           f"bound {MAX_EDGE_SOLVER_VERTICES} for this r-grid")
     failed = []
@@ -269,7 +269,7 @@ def _cmd_verify(args) -> int:
     piecewise = []
     for r in grid:
         for n in range(2, min(args.n_max, MAX_ENUM_VERTICES) + 1):
-            if (r.numerator * n) // r.denominator < 1:
+            if Threshold.for_order(r, n).tau < 1:
                 continue
             for m in range(comb(n, 2) + 1):
                 scan = families.covmin(n, m, r).value

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .graph import Graph, edgeless
+from .graph import Graph, Threshold, edgeless
 from .solver import copvc_value, copec_value
 
 MAX_ENUM_VERTICES = 8
@@ -81,23 +81,9 @@ def upper_triangle_key(g: Graph) -> int:
     return key
 
 
-def _relabel(g: Graph, order: tuple[int, ...]) -> Graph:
-    position = {v: i for i, v in enumerate(order)}
-    rows = []
-    for v in order:
-        row = 0
-        old = g.rows[v]
-        while old:
-            low = old & -old
-            row |= 1 << position[low.bit_length() - 1]
-            old ^= low
-        rows.append(row)
-    return Graph._from_rows(g.n, tuple(rows))
-
-
 def canonical_graph(g: Graph) -> Graph:
     """Representative of g's isomorphism class under the minimal ordering."""
-    return _relabel(g, _canonical_order(g.rows, g.n))
+    return g._relabel(_canonical_order(g.rows, g.n))
 
 
 def canonical_key(g: Graph) -> int:
@@ -152,7 +138,7 @@ class FamilyProfile:
 
 @lru_cache(maxsize=None)
 def family_profile(n: int, m: int, r: Fraction) -> FamilyProfile:
-    tau = (r.numerator * n) // r.denominator
+    tau = Threshold.for_order(r, n).tau
     classes = list(enumerate_gnm(n, m))
     vertex_values = tuple(copvc_value(g, tau) for g in classes)
     if tau == 0:

@@ -86,7 +86,7 @@ def copvc_cycle(n: int, r: Fraction) -> FormulaResult:
         raise ValueError("cycle needs n >= 3")
     tau = _tau(r, n)
     _require_positive_tau(tau, "cycle_vertex")
-    reduced = (r.numerator * (n - 1)) // r.denominator
+    reduced = _tau(r, n - 1)
     return FormulaResult((n - 1) // (reduced + 1) + 1,
                          "cycle_vertex_reduced_order", tau)
 

@@ -158,16 +158,26 @@ class Graph:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range for n={self.n}")
             drop |= 1 << v
-        keep = [v for v in range(self.n) if not drop >> v & 1]
+        return self._relabel([v for v in range(self.n) if not drop >> v & 1])
+
+    def _relabel(self, order) -> "Graph":
+        """The subgraph induced on the distinct vertices of ``order``, with
+        vertex order[i] relabeled i."""
+        position = [0] * self.n
+        keep = 0
+        for i, v in enumerate(order):
+            position[v] = i
+            keep |= 1 << v
         rows = []
-        for v in keep:
+        for v in order:
             row = 0
-            old = self.rows[v]
-            for new_u, u in enumerate(keep):
-                if old >> u & 1:
-                    row |= 1 << new_u
+            old = self.rows[v] & keep
+            while old:
+                low = old & -old
+                row |= 1 << position[low.bit_length() - 1]
+                old ^= low
             rows.append(row)
-        return Graph._from_rows(len(keep), tuple(rows))
+        return Graph._from_rows(len(rows), tuple(rows))
 
     def remove_edges(self, edges) -> "Graph":
         """Same vertex set, the given edges deleted."""

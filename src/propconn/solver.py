@@ -192,16 +192,14 @@ def _lex_first_cut(h: Graph, tau: int) -> list[tuple[int, int]]:
 
 def _oversized_components(g: Graph, tau: int) -> list[tuple[Graph, list[int]]]:
     """Each component of order > tau as a graph on 0..k-1 with its original
-    labels (g itself when connected).  Rejects inputs over the edge
-    solver's limit before any table is built."""
+    labels.  Rejects inputs over the edge solver's limit before any table
+    is built."""
     oversized = _oversized_masks(g, tau)
     largest = max((mask.bit_count() for mask in oversized), default=0)
     if largest > MAX_EDGE_SOLVER_VERTICES:
         raise EdgeSolverLimitError(
             f"component of order {largest} exceeds the edge solver bound "
             f"{MAX_EDGE_SOLVER_VERTICES}")
-    if oversized == [(1 << g.n) - 1]:
-        return [(g, list(range(g.n)))]
     out = []
     for mask in oversized:
         labels = [v for v in range(g.n) if mask >> v & 1]

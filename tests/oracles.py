@@ -56,6 +56,17 @@ def brute_max_cut(g: Graph) -> int:
     return best
 
 
+def brute_lex_first_max_cut_part(g: Graph) -> tuple:
+    """The max-cut part holding vertex 0 that comes first as a sorted tuple
+    among all parts of maximum crossing count (n >= 1)."""
+    def cut(part):
+        return sum(1 for u, v in g.edges() if (u in part) != (v in part))
+
+    parts = [(0,) + rest for size in range(g.n)
+             for rest in combinations(range(1, g.n), size)]
+    return min(parts, key=lambda part: (-cut(part), part))
+
+
 def brute_canonical_key(g: Graph) -> int:
     """Minimum upper-triangle key over every vertex permutation (n <= 7)."""
     best = None

@@ -15,7 +15,7 @@ from propconn.enumeration import enumerate_gnm
 
 from conftest import graphs
 
-from oracles import brute_max_cut
+from oracles import brute_lex_first_max_cut_part, brute_max_cut
 
 HALF = Fraction(1, 2)
 
@@ -51,6 +51,35 @@ def test_max_cut_partition_counts_crossings():
 @given(graphs(max_n=7))
 def test_max_cut_matches_brute_force(g):
     assert max_bipartite_subgraph(g).crossing_edges == brute_max_cut(g)
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """A drawn graph plus one or two isolated vertices, labels shuffled."""
+    core = draw(graphs(min_n=1, max_n=7))
+    n = core.n + draw(st.integers(1, 2))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in core.edges()])
+
+
+def test_max_cut_part_is_lex_first_on_small_classes():
+    # K2 + K1: parts (0,) and (0, 2) both cut the edge, and (0,) comes
+    # first; a search that scores only complete assignments, A first,
+    # meets (0, 2) first
+    k2_k1 = disjoint_union(complete(2), edgeless(1))
+    assert max_bipartite_subgraph(k2_k1).partition[0] == (0,)
+    for n in range(1, 7):
+        for m in range(comb(n, 2) + 1):
+            for g in enumerate_gnm(n, m):
+                assert (max_bipartite_subgraph(g).partition[0]
+                        == brute_lex_first_max_cut_part(g))
+
+
+@settings(max_examples=150)
+@given(graphs_with_isolated_vertices())
+def test_max_cut_part_is_lex_first_with_isolated_vertices(g):
+    assert (max_bipartite_subgraph(g).partition[0]
+            == brute_lex_first_max_cut_part(g))
 
 
 def test_max_cut_size_bound():
