@@ -24,14 +24,14 @@ from .families import (PQDecomposition, ExtremalResult, max_failure_edges,
                        covmin_piecewise_crosscheck, coemin, covmax_tail,
                        coemax_tail, complete_minus_two_disjoint_edges,
                        extremal_by_enumeration)
-from .enumeration import (MAX_ENUM_VERTICES, FamilyProfile, canonical_graph,
-                          canonical_key, enumerate_gnm, count_classes,
-                          family_profile, upper_triangle_key)
+from .enumeration import (MAX_ENUM_VERTICES, MAX_CANONICAL_VERTICES,
+                          FamilyProfile, canonical_graph, canonical_key,
+                          enumerate_gnm, count_classes, family_profile,
+                          upper_triangle_key)
 from .bounds import (BipartiteWitness, ConjectureVerdict, MAX_CUT_VERTICES,
                      max_bipartite_subgraph, edwards_bound, egk_bounds,
                      check_equal_partition_conjecture,
-                     check_coemax_upper_bound,
-                     bipartite_complement_duality_check)
+                     check_coemax_upper_bound)
 from .formats import (parse_edge_list, serialize_edge_list, parse_graph6,
                       encode_graph6, fraction_str)
 
@@ -53,12 +53,12 @@ __all__ = [
     "build_max_failure_state", "covmin_threshold_f", "covmin",
     "covmin_piecewise_crosscheck", "coemin", "covmax_tail", "coemax_tail",
     "complete_minus_two_disjoint_edges", "extremal_by_enumeration",
-    "MAX_ENUM_VERTICES", "FamilyProfile", "canonical_graph", "canonical_key",
+    "MAX_ENUM_VERTICES", "MAX_CANONICAL_VERTICES", "FamilyProfile",
+    "canonical_graph", "canonical_key",
     "enumerate_gnm", "count_classes", "family_profile", "upper_triangle_key",
     "BipartiteWitness", "ConjectureVerdict", "MAX_CUT_VERTICES",
     "max_bipartite_subgraph", "edwards_bound", "egk_bounds",
     "check_equal_partition_conjecture", "check_coemax_upper_bound",
-    "bipartite_complement_duality_check",
     "parse_edge_list", "serialize_edge_list", "parse_graph6",
     "encode_graph6", "fraction_str",
 ]

@@ -202,26 +202,3 @@ def check_coemax_upper_bound(n: int, m: int) -> ConjectureVerdict:
                              holds=coemax.value <= rhs, lhs=coemax.value,
                              rhs=rhs, witness=coemax.witness)
 
-
-def bipartite_complement_duality_check(g: Graph) -> bool:
-    """Counting identity behind the complement argument: over every
-    balanced bipartition, crossing edges in g plus crossing edges in the
-    complement equal n^2/4.  Must hold for every graph of even order."""
-    if g.n % 2 != 0:
-        raise ValueError("duality check needs even order")
-    if g.n > 16:
-        raise ValueError("duality check supports n <= 16")
-    if g.n == 0:
-        return True
-    gc = g.complement()
-    target = g.n * g.n // 4
-    full = (1 << g.n) - 1
-    for others in combinations(range(1, g.n), g.n // 2 - 1):
-        side = 1
-        for v in others:
-            side |= 1 << v
-        blocks = (side, full ^ side)
-        if (_cross_edges_of_partition(g, blocks)
-                + _cross_edges_of_partition(gc, blocks) != target):
-            return False
-    return True

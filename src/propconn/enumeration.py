@@ -25,6 +25,14 @@ from .solver import copvc_value, copec_value
 
 MAX_ENUM_VERTICES = 8
 
+# Largest order canonical_graph accepts: the largest at which its worst
+# case stays under a minute.  The worst cases are the edgeless and complete
+# graphs, where every ordering ties and the search visits all n! of them,
+# about 10x time per vertex; on a 2-vCPU CPython 3.11 machine each took
+# 0.3 s at n = 8, 3.0-3.2 s at n = 9 and 26-27 s at n = 10; the edgeless
+# graph took 292 s at n = 11.
+MAX_CANONICAL_VERTICES = 10
+
 
 def _canonical_order(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Vertex ordering minimizing the column-major upper-triangle bitstring."""
@@ -82,7 +90,12 @@ def upper_triangle_key(g: Graph) -> int:
 
 
 def canonical_graph(g: Graph) -> Graph:
-    """Representative of g's isomorphism class under the minimal ordering."""
+    """Representative of g's isomorphism class under the minimal ordering.
+    Raises ValueError, before any search, when g has more than
+    MAX_CANONICAL_VERTICES vertices."""
+    if g.n > MAX_CANONICAL_VERTICES:
+        raise ValueError(f"canonical search supports n <= "
+                         f"{MAX_CANONICAL_VERTICES}, got {g.n}")
     return g._relabel(_canonical_order(g.rows, g.n))
 
 

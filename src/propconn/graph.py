@@ -122,9 +122,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):

@@ -16,12 +16,12 @@ crossing an optimal partition of the vertices into parts of order at most
 tau (removing an edge internal to a surviving component would contradict
 minimality).  Components of order at most tau need no cut, and the optimum
 adds up over components, so each oversized component of order k is solved
-on its own by dynamic programming over its vertex subsets, about 3^k/2
-steps.  The value maximizes the edge count kept inside parts.  The witness
-runs the same DP once on lex scores (see ``_lex_edge_scores``) whose
-optimum keeps as many edges and cuts the lexicographically first minimum
-set, then reads that partition back from the table.  Components larger
-than MAX_EDGE_SOLVER_VERTICES are rejected up front.
+on its own by one dynamic program over its vertex subsets, about 3^k/2
+steps.  The DP maximizes lex scores (see ``_lex_edge_scores``): its
+optimum keeps the most edges inside parts and, among those partitions,
+cuts the lexicographically first minimum set, read back from the table.
+That one pass gives both the value and the lex-first set.  Components
+larger than MAX_EDGE_SOLVER_VERTICES are rejected up front.
 """
 
 from dataclasses import dataclass
@@ -104,17 +104,6 @@ def copvc_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
     _check_solver_input(g)
     chosen = _min_vertex_set(g, Threshold.for_order(r, g.n).tau)
     return DisconnectingWitness("vertex", tuple(chosen), len(chosen))
-
-
-def _internal_edge_counts(rows: tuple[int, ...]) -> list[int]:
-    """inside[s]: the number of edges with both ends in vertex set s."""
-    full = (1 << len(rows)) - 1
-    inside = [0] * (full + 1)
-    for s in range(1, full + 1):
-        low = s & -s
-        rest = s ^ low
-        inside[s] = inside[rest] + (rows[low.bit_length() - 1] & rest).bit_count()
-    return inside
 
 
 def _lex_edge_scores(h: Graph) -> list[int]:
@@ -203,9 +192,25 @@ def _oversized_components(g: Graph, tau: int) -> list[tuple[Graph, list[int]]]:
     out = []
     for mask in oversized:
         labels = [v for v in range(g.n) if mask >> v & 1]
-        out.append((g.remove_vertices(
-            v for v in range(g.n) if not mask >> v & 1), labels))
+        out.append((g._relabel(labels), labels))
     return out
+
+
+def _min_edge_set(g: Graph, tau: int) -> list[tuple[int, int]]:
+    """The lexicographically first minimum edge set whose removal leaves
+    no component of order > tau (tau >= 1), as sorted (u, v) pairs.
+
+    Each oversized component is cut on its own by ``_lex_first_cut``, and
+    the cut is mapped back to the original labels.  Every minimum set is a
+    union of per-component minimum cuts; for equal-size sets, A sorts
+    before B exactly when min(A ^ B) lies in A, and A ^ B splits by
+    component, so the union of the lex-first cuts is the lex-first set.
+    """
+    chosen = []
+    for h, labels in _oversized_components(g, tau):
+        chosen.extend((labels[u], labels[v]) for u, v in _lex_first_cut(h, tau))
+    chosen.sort()
+    return chosen
 
 
 def copec_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
@@ -213,8 +218,7 @@ def copec_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
 
     Returns feasible=False when tau = 0 (no edge removal shrinks an order-1
     component).  Among minimum sets the lexicographically smallest by sorted
-    (u, v) pairs is returned: one lex-scored partition DP per oversized
-    component finds the cut and its lex-first edges together.  Raises
+    (u, v) pairs is returned (see ``_min_edge_set``).  Raises
     EdgeSolverLimitError when a component of order > tau is larger than
     MAX_EDGE_SOLVER_VERTICES.
     """
@@ -222,11 +226,7 @@ def copec_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
     t = Threshold.for_order(r, g.n)
     if t.tau == 0:
         return DisconnectingWitness("edge", (), None, feasible=False)
-    chosen = []
-    for h, labels in _oversized_components(g, t.tau):
-        chosen.extend((labels[u], labels[v])
-                      for u, v in _lex_first_cut(h, t.tau))
-    chosen.sort()
+    chosen = _min_edge_set(g, t.tau)
     return DisconnectingWitness("edge", tuple(chosen), len(chosen))
 
 
@@ -238,13 +238,13 @@ def copvc_value(g: Graph, tau: int) -> int:
 
 
 def copec_value(g: Graph, tau: int) -> int | None:
-    """Cardinality-only edge solve; None when tau = 0 makes it infeasible.
-    Raises EdgeSolverLimitError as copec_exact does."""
+    """Size of the minimum edge set against an explicit tau (see
+    ``_min_edge_set``); None when tau = 0 makes it infeasible.  Raises
+    EdgeSolverLimitError as copec_exact does."""
     _check_solver_input(g)
     if tau <= 0:
         return None
-    return sum(h.m - _partition_dp(_internal_edge_counts(h.rows), tau)[-1]
-               for h, _ in _oversized_components(g, tau))
+    return len(_min_edge_set(g, tau))
 
 
 def verify_witness(g: Graph, r: Fraction, w: DisconnectingWitness) -> bool:

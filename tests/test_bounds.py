@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from propconn.graph import (Graph, complete, cycle, disjoint_union, edgeless,
                             path)
 from propconn.solver import copec_exact
-from propconn.bounds import (bipartite_complement_duality_check,
-                             check_coemax_upper_bound,
+from propconn.bounds import (check_coemax_upper_bound,
                              check_equal_partition_conjecture, edwards_bound,
                              egk_bounds, max_bipartite_subgraph)
 from propconn.enumeration import enumerate_gnm
@@ -135,19 +134,6 @@ def test_bounds_never_beat_exact_max_cut_small():
                     assert b >= isolated_free
                 if connected is not None:
                     assert b >= connected
-
-
-@settings(max_examples=80)
-@given(graphs(max_n=8).filter(lambda g: g.n % 2 == 0))
-def test_duality_identity(g):
-    assert bipartite_complement_duality_check(g)
-
-
-def test_duality_named_examples():
-    assert bipartite_complement_duality_check(complete(6))
-    assert bipartite_complement_duality_check(cycle(6))
-    with pytest.raises(ValueError):
-        bipartite_complement_duality_check(cycle(5))
 
 
 def test_equal_partition_trivial_instance():

@@ -2,6 +2,7 @@ import csv
 import json
 
 from propconn.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from propconn.enumeration import MAX_CANONICAL_VERTICES
 from propconn.formats import parse_graph6, serialize_edge_list
 from propconn.graph import path
 from propconn.solver import MAX_EDGE_SOLVER_VERTICES, copec_value
@@ -136,6 +137,22 @@ def test_scan_tail_leaves_unknown_blank(tmp_path, capsys):
     assert rows[2]["value"] == "0" and rows[2]["method"] == "tail"
     assert rows[8]["value"] == "" and rows[8]["method"] == "unknown"
     assert rows[15]["value"] == "3" and rows[15]["method"] == "tail"
+
+
+def test_closed_form_over_canonical_bound_exits_before_writing(tmp_path,
+                                                               capsys):
+    n = str(MAX_CANONICAL_VERTICES + 1)
+    out_file = tmp_path / "scan.csv"
+    for stat in ("covmin", "coemin"):
+        code, out, err = run(capsys, "extremal", "--n", n, "--m", "0",
+                             "--r", "1/2", "--stat", stat)
+        assert code == EXIT_USAGE
+        assert out == "" and "canonical search supports" in err
+        code, out, err = run(capsys, "scan", "--n", n, "--r", "1/2",
+                             "--stat", stat, "--all-m", "--out", str(out_file))
+        assert code == EXIT_USAGE
+        assert out == "" and "canonical search supports" in err
+        assert not out_file.exists()
 
 
 def test_verify_exits_clean_on_proven_formulas(capsys):

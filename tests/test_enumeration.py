@@ -3,9 +3,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propconn.graph import Graph, complete, cycle, path
-from propconn.enumeration import (canonical_graph, canonical_key,
-                                  count_classes, enumerate_gnm,
+from networkx.generators.atlas import graph_atlas_g
+
+from propconn.graph import Graph, complete, cycle, edgeless, path
+from propconn.enumeration import (MAX_CANONICAL_VERTICES, canonical_graph,
+                                  canonical_key, count_classes, enumerate_gnm,
                                   upper_triangle_key)
 
 from conftest import graphs
@@ -89,3 +91,28 @@ def test_distinct_classes_have_distinct_keys():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     triangle = Graph(4, [(0, 1), (0, 2), (1, 2)])
     assert canonical_key(star) != canonical_key(triangle)
+
+
+def test_keys_match_networkx_graph_atlas():
+    # The atlas lists one graph per class on 0-7 vertices, built without
+    # this package: its keys must be distinct and equal the enumerated ones.
+    atlas_keys = {}
+    for a in graph_atlas_g():
+        g = Graph(a.number_of_nodes(), list(a.edges()))
+        atlas_keys.setdefault((g.n, g.m), []).append(canonical_key(g))
+    assert sum(map(len, atlas_keys.values())) == 1253
+    for n in range(8):
+        for m in range(comb(n, 2) + 1):
+            keys = atlas_keys[n, m]
+            assert len(set(keys)) == len(keys), (n, m)
+            assert set(keys) == {upper_triangle_key(g)
+                                 for g in enumerate_gnm(n, m)}, (n, m)
+
+
+def test_canonical_search_rejects_order_over_bound():
+    for g in (edgeless(MAX_CANONICAL_VERTICES + 1),
+              complete(MAX_CANONICAL_VERTICES + 1)):
+        with pytest.raises(ValueError, match="canonical search supports"):
+            canonical_graph(g)
+        with pytest.raises(ValueError, match="canonical search supports"):
+            canonical_key(g)

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 from math import comb
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -224,3 +226,22 @@ def test_edge_solver_limit_counts_only_oversized_components():
     g = disjoint_union(path(30), edgeless(4))
     assert copec_exact(g, Fraction(9, 10)).cardinality == 0
     assert copec_value(g, 30) == 0
+
+
+def test_values_match_networkx_beyond_oracle_orders():
+    # At tau = 1 only isolated vertices may survive: the vertex value is a
+    # minimum vertex cover, n - omega(complement), and every edge goes.  At
+    # tau = 2 the kept edges form a matching, so m - nu(g) edges go.
+    rng = random.Random(20211)
+    for n in range(10, 15):
+        for p in (0.2, 0.4, 0.6, 0.8):
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            complement = nx.Graph(g.complement().edges())
+            complement.add_nodes_from(range(n))
+            _, omega = nx.max_weight_clique(complement, weight=None)
+            matching = nx.max_weight_matching(nx.Graph(g.edges()),
+                                              maxcardinality=True)
+            assert copvc_value(g, 1) == n - omega, (n, p)
+            assert copec_value(g, 1) == g.m, (n, p)
+            assert copec_value(g, 2) == g.m - len(matching), (n, p)
