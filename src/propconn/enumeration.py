@@ -2,11 +2,13 @@
 
 Classes are identified by a canonical form: the minimum, over all vertex
 orderings, of the upper-triangle adjacency bitstring read column-major (the
-same bit order graph6 uses).  The minimum is found by a depth-first search
-over orderings that only ever extends with vertices whose next column is
-minimal, pruned against the best complete ordering found so far; this
-returns exactly the global minimum without touching most of the n!
-orderings.
+same bit order graph6 uses).  The minimum is built one column at a time: a
+prefix of the ordering leaves each unplaced vertex a next column (its
+adjacency bits to the placed vertices), and the search keeps, level by
+level, only the prefixes whose columns so far are minimal.  Prefixes that
+leave the same vertices with the same next columns have identical futures,
+so each such state is kept once; this returns exactly the global minimum
+without touching most of the n! orderings.
 
 Graphs with n vertices and m edges are generated level by level: every
 (m+1)-edge graph arises from an m-edge graph by adding one edge, so adding
@@ -25,57 +27,34 @@ from .solver import copvc_value, copec_value
 
 MAX_ENUM_VERTICES = 8
 
-# Largest order canonical_graph accepts: the largest at which its worst
-# case stays under a minute.  The worst cases are the edgeless and complete
-# graphs, where every ordering ties and the search visits all n! of them,
-# about 10x time per vertex; on a 2-vCPU CPython 3.11 machine each took
-# 0.3 s at n = 8, 3.0-3.2 s at n = 9 and 26-27 s at n = 10; the edgeless
-# graph took 292 s at n = 11.
+# Largest order canonical_graph accepts.  The level search never holds more
+# states than a depth-first search over the same minimal-column prefixes
+# visits prefixes, and that search's worst case, the n! tied orderings of
+# the edgeless and complete graphs, took 26-27 s at n = 10 on a 2-vCPU
+# CPython 3.11 machine.  On the same machine the level search took at most
+# about 0.09 s (4K2 + 2K1) over a sweep of 206 graphs at n = 10, and
+# 0.014 s on the edgeless graph; the bound waits for a proven worst case.
 MAX_CANONICAL_VERTICES = 10
 
 
 def _canonical_order(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Vertex ordering minimizing the column-major upper-triangle bitstring."""
-    if n <= 1:
-        return tuple(range(n))
-    best: list[int] | None = None       # per-level column chunks of best order
-    best_order: list[int] | None = None
-
-    def descend(order, remaining, chunks, trail):
-        nonlocal best, best_order
-        k = len(order)
-        if best is not None:
-            tied = True
-            for i in range(k):
-                if trail[i] != best[i]:
-                    if trail[i] > best[i]:
-                        return
-                    tied = False
-                    break
-        else:
-            tied = False
-        if not remaining:
-            if best is None or trail < best:
-                best = list(trail)
-                best_order = list(order)
-            return
-        mn = min(chunks[v] for v in remaining)
-        if tied and mn > best[k]:
-            return
-        for v in remaining:
-            if chunks[v] != mn:
-                continue
-            row = rows[v]
-            child = {u: (chunks[u] << 1) | (row >> u & 1)
-                     for u in remaining if u != v}
-            order.append(v)
-            trail.append(mn)
-            descend(order, [u for u in remaining if u != v], child, trail)
-            order.pop()
-            trail.pop()
-
-    descend([], list(range(n)), {v: 0 for v in range(n)}, [])
-    return tuple(best_order)
+    # A state pairs each unplaced vertex with its next column; equal states
+    # have identical futures, so each is kept once, with the first ordering
+    # that reaches it.
+    frontier = {tuple((v, 0) for v in range(n)): ()}
+    for _ in range(n):
+        mn = min(c for state in frontier for _, c in state)
+        children = {}
+        for state, order in frontier.items():
+            for v, c in state:
+                if c == mn:
+                    row = rows[v]
+                    child = tuple((u, cu << 1 | row >> u & 1)
+                                  for u, cu in state if u != v)
+                    children.setdefault(child, order + (v,))
+        frontier = children
+    return frontier[()]
 
 
 def upper_triangle_key(g: Graph) -> int:

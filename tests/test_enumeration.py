@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from networkx.generators.atlas import graph_atlas_g
 
-from propconn.graph import Graph, complete, cycle, edgeless, path
+from propconn.graph import (Graph, complete, complete_bipartite, cycle,
+                            disjoint_union, edgeless, path)
 from propconn.enumeration import (MAX_CANONICAL_VERTICES, canonical_graph,
                                   canonical_key, count_classes, enumerate_gnm,
                                   upper_triangle_key)
@@ -116,3 +118,40 @@ def test_canonical_search_rejects_order_over_bound():
             canonical_graph(g)
         with pytest.raises(ValueError, match="canonical search supports"):
             canonical_key(g)
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _matching(k, n):
+    """k disjoint edges plus n - 2k isolated vertices."""
+    return disjoint_union(*[complete(2)] * k, edgeless(n - 2 * k))
+
+
+def test_canonical_key_matches_brute_force_on_symmetric_families():
+    # Large sets of tied orderings, which random small graphs rarely build.
+    rng = random.Random(7)
+    for n in range(4, 8):
+        family = [_matching(k, n) for k in range(1, n // 2 + 1)]
+        family += [cycle(n), path(n), complete_bipartite(2, n - 2),
+                   disjoint_union(complete(3), path(n - 3))]
+        for g in family + [g.complement() for g in family]:
+            assert canonical_key(_relabeled(g, rng)) == \
+                brute_canonical_key(g), (n, g)
+
+
+def test_canonical_graph_is_relabeling_invariant_at_bound():
+    n = MAX_CANONICAL_VERTICES
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)])
+    rng = random.Random(10)
+    for g in (_matching(4, n), _matching(3, n), _matching(1, n), petersen,
+              edgeless(n), complete(n)):
+        cg = canonical_graph(g)
+        assert cg.n == g.n and cg.m == g.m
+        for _ in range(3):
+            assert canonical_graph(_relabeled(g, rng)) == cg, g
