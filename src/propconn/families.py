@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .graph import Graph, Threshold, complete, disjoint_union
+from .graph import Graph, Threshold, complete, disjoint_union, edgeless
 from .enumeration import (MAX_ENUM_VERTICES, canonical_graph, enumerate_gnm,
                           family_profile)
 
@@ -87,21 +87,14 @@ def _strip_edges(g: Graph, surplus: int) -> Graph:
 
 def _covmin_witness(n: int, m: int, r: Fraction, k: int) -> Graph:
     # Densest graph whose vertex value is exactly k: k dominating vertices
-    # over the densest failure state of the remaining n-k; stripping surplus
-    # edges keeps the value (deletion never raises it, and the family
-    # minimum at m edges bounds it from below).
-    d = PQDecomposition.of(n, r)
-    if k == 0:
-        base = build_max_failure_state(n, r)
-    else:
-        parts_p, parts_q = divmod(n - k, d.tau)
-        rest = disjoint_union(*([complete(d.tau)] * parts_p + [complete(parts_q)]))
-        rows = list(disjoint_union(complete(k), rest).rows)
-        for u in range(k):
-            for v in range(k, n):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        base = Graph._from_rows(n, tuple(rows))
+    # (the join of K_k with the rest, built as the complement of a disjoint
+    # union of complements) over the densest failure state of the remaining
+    # n-k; stripping surplus edges keeps the value (deletion never raises
+    # it, and the family minimum at m edges bounds it from below).
+    tau = PQDecomposition.of(n, r).tau
+    parts_p, parts_q = divmod(n - k, tau)
+    rest = disjoint_union(*([complete(tau)] * parts_p + [complete(parts_q)]))
+    base = disjoint_union(edgeless(k), rest.complement()).complement()
     return canonical_graph(_strip_edges(base, base.m - m))
 
 

@@ -19,9 +19,10 @@ adds up over components, so each oversized component of order k is solved
 on its own by one dynamic program over its vertex subsets, about 3^k/2
 steps.  The DP maximizes lex scores (see ``_lex_edge_scores``): its
 optimum keeps the most edges inside parts and, among those partitions,
-cuts the lexicographically first minimum set, read back from the table.
-That one pass gives both the value and the lex-first set.  Components
-larger than MAX_EDGE_SOLVER_VERTICES are rejected up front.
+cuts the lexicographically first minimum set, which is decoded from the
+optimal score alone.  That one pass gives both the value and the lex-first
+set.  Components larger than MAX_EDGE_SOLVER_VERTICES are rejected up
+front.
 """
 
 from dataclasses import dataclass
@@ -132,9 +133,9 @@ def _lex_edge_scores(h: Graph) -> list[int]:
     return inside
 
 
-def _partition_dp(inside: list[int], tau: int) -> list[int]:
-    """best[s]: the largest total of inside[part] over the partitions of
-    vertex set s into parts of order at most tau (tau >= 1)."""
+def _partition_dp(inside: list[int], tau: int) -> int:
+    """The largest total of inside[part] over the partitions of the full
+    vertex set into parts of order at most tau (tau >= 1)."""
     limit = tau - 1
     best = [0] * len(inside)
     for s in range(1, len(inside)):
@@ -153,30 +154,23 @@ def _partition_dp(inside: list[int], tau: int) -> list[int]:
                 break
             sub = (sub - 1) & rest
         best[s] = b
-    return best
+    return best[-1]
 
 
 def _lex_first_cut(h: Graph, tau: int) -> list[tuple[int, int]]:
-    """The lexicographically first minimum cut of h, in h's labels: one
-    partition DP on lex scores, then the optimal parts read back from its
-    table."""
-    inside = _lex_edge_scores(h)
-    best = _partition_dp(inside, tau)
-    home = [0] * h.n        # home[v]: the part holding v
-    s = len(best) - 1
-    while s:
-        low = s & -s
-        rest = s ^ low
-        sub = rest
-        while (sub.bit_count() >= tau
-               or inside[low | sub] + best[rest ^ sub] != best[s]):
-            sub = (sub - 1) & rest
-        part = low | sub
-        for v in range(h.n):
-            if part >> v & 1:
-                home[v] = part
-        s = rest ^ sub
-    return [(u, v) for u, v in h.edges() if not home[u] >> v & 1]
+    """The lexicographically first minimum cut of h, in h's labels, decoded
+    from the optimal lex score of one partition DP.
+
+    A kept edge set K scores |K| * 2^E - mask(K), where mask(K) sets bit
+    E-1-i for each kept edge i and 0 <= mask(K) < 2^E, so the score fixes
+    |K| (rounded up from score / 2^E) and then mask(K).
+    """
+    edges = h.edges()
+    top = 1 << len(edges)
+    score = _partition_dp(_lex_edge_scores(h), tau)
+    kept = -(-score // top)
+    mask = kept * top - score
+    return [e for i, e in enumerate(edges) if not mask & (top >> (i + 1))]
 
 
 def _oversized_components(g: Graph, tau: int) -> list[tuple[Graph, list[int]]]:

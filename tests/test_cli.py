@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from propconn.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from propconn.enumeration import MAX_CANONICAL_VERTICES
 from propconn.formats import parse_graph6, serialize_edge_list
@@ -107,6 +109,29 @@ def test_extremal_formula_and_enumeration(capsys):
     assert report["method"] == "enumeration"
     witness = parse_graph6(report["enumeration"]["witness"])
     assert witness.n == 5 and witness.m == 6
+
+
+# Closed-form witnesses as printed without --enumerate, recorded from the
+# implementation they pin: covmin with k = 0 and k >= 1 dominating vertices,
+# coemin below and above max_failure_edges (12 at (8, 1/2), 9 at (n, 1/3)).
+@pytest.mark.parametrize("stat, n, m, r, value, witness", [
+    ("covmin", 8, 10, "1/2", 0, "G@KyEC"),
+    ("covmin", 7, 9, "1/2", 1, "F?C^w"),
+    ("covmin", 9, 24, "1/3", 3, "H?C^~~~"),
+    ("covmin", 10, 30, "1/3", 3, "I@LAN~~~w"),
+    ("coemin", 8, 10, "1/2", 0, "G@KyEC"),
+    ("coemin", 10, 5, "1/3", 0, "I????CBB?"),
+    ("coemin", 9, 24, "1/3", 15, "HJ]CN~~"),
+    ("coemin", 10, 30, "1/3", 21, "I@LAN~~~w"),
+])
+def test_closed_form_witnesses_are_pinned(capsys, stat, n, m, r, value,
+                                          witness):
+    code, out, _ = run(capsys, "extremal", "--n", str(n), "--m", str(m),
+                       "--r", r, "--stat", stat)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["method"] == "formula"
+    assert (report["value"], report["witness"]) == (value, witness)
 
 
 def test_scan_writes_csv(tmp_path, capsys):

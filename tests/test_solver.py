@@ -207,6 +207,16 @@ def test_dp_matches_brute_force_edge_oracle():
             assert copec_value(g, tau) == brute_min_edge_set(g, Fraction(tau, g.n))
 
 
+def test_lex_first_edge_witness_past_64_edges():
+    # K12 at tau = 11 must lose one star; the lex-first is the star of its
+    # lowest vertex.  Each K12 has 66 edges, so the lex scores pass 2^64.
+    star = tuple((0, v) for v in range(1, 12))
+    assert copec_exact(complete(12), Fraction(11, 12)).elements == star
+    two = disjoint_union(complete(12), complete(12))
+    w = copec_exact(two, Fraction(11, 24))
+    assert w.elements == star + tuple((12, v) for v in range(13, 24))
+
+
 def test_edge_solver_rejects_component_over_limit():
     g = path(MAX_EDGE_SOLVER_VERTICES + 1)
     with pytest.raises(EdgeSolverLimitError):
