@@ -8,13 +8,20 @@ adjacency bits to the placed vertices), and the search keeps, level by
 level, only the prefixes whose columns so far are minimal.  Prefixes that
 leave the same vertices with the same next columns have identical futures,
 so each such state is kept once; this returns exactly the global minimum
-without touching most of the n! orderings.
+without touching most of the n! orderings.  When two prefixes reach the
+same state, mapping the one's i-th vertex to the other's and fixing every
+unplaced vertex is an automorphism, which the search can hand back.
 
 Graphs with n vertices and m edges are generated level by level: every
-(m+1)-edge graph arises from an m-edge graph by adding one edge, so adding
-each non-edge to each m-level representative and deduplicating by canonical
-key yields exactly one representative per class.  Levels are cached per n
-for the lifetime of the process.
+(m+1)-edge graph arises from an m-edge graph by adding one edge, and
+automorphic non-edges give isomorphic graphs, so adding one non-edge per
+orbit of a group of automorphisms of each m-level representative and
+deduplicating by canonical key yields exactly one representative per class.
+The automorphisms are those the canonical searches of the level met, so
+they generate a subgroup of the automorphism group, whose orbits are finer:
+some classes are reached twice, none is missed.  Levels above C(n,2)/2 are
+the complements of the levels below it, one canonical search per class.
+Levels are cached per n for the lifetime of the process.
 """
 
 from dataclasses import dataclass
@@ -37,11 +44,17 @@ MAX_ENUM_VERTICES = 8
 MAX_CANONICAL_VERTICES = 10
 
 
-def _canonical_order(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Vertex ordering minimizing the column-major upper-triangle bitstring."""
+def _canonical_order(rows: tuple[int, ...], n: int,
+                     ties: list | None = None) -> tuple[int, ...]:
+    """Vertex ordering minimizing the column-major upper-triangle bitstring.
+    When a list is given, appends (first, other) for each pair of prefixes
+    that reach the same state: first[i] -> other[i], every vertex outside
+    them fixed, is an automorphism of the graph."""
     # A state pairs each unplaced vertex with its next column; equal states
     # have identical futures, so each is kept once, with the first ordering
-    # that reaches it.
+    # that reaches it.  All prefixes of a level place the same columns, so
+    # two that reach one state induce the same graph in their order and
+    # meet every unplaced vertex alike.
     frontier = {tuple((v, 0) for v in range(n)): ()}
     for _ in range(n):
         mn = min(c for state in frontier for _, c in state)
@@ -52,7 +65,10 @@ def _canonical_order(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
                     row = rows[v]
                     child = tuple((u, cu << 1 | row >> u & 1)
                                   for u, cu in state if u != v)
-                    children.setdefault(child, order + (v,))
+                    other = order + (v,)
+                    first = children.setdefault(child, other)
+                    if first is not other and ties is not None:
+                        ties.append((first, other))
         frontier = children
     return frontier[()]
 
@@ -68,14 +84,28 @@ def upper_triangle_key(g: Graph) -> int:
     return key
 
 
-def canonical_graph(g: Graph) -> Graph:
+def canonical_graph(g: Graph, automorphisms: list | None = None) -> Graph:
     """Representative of g's isomorphism class under the minimal ordering.
+    When a list is given, appends the automorphisms of the representative
+    that the search met, each a tuple p mapping vertex v to p[v]; they
+    generate a subgroup of its automorphism group, not always all of it.
     Raises ValueError, before any search, when g has more than
     MAX_CANONICAL_VERTICES vertices."""
     if g.n > MAX_CANONICAL_VERTICES:
         raise ValueError(f"canonical search supports n <= "
                          f"{MAX_CANONICAL_VERTICES}, got {g.n}")
-    return g._relabel(_canonical_order(g.rows, g.n))
+    ties = None if automorphisms is None else []
+    order = _canonical_order(g.rows, g.n, ties)
+    if ties:
+        position = [0] * g.n
+        for i, v in enumerate(order):
+            position[v] = i
+        for first, other in ties:
+            p = list(range(g.n))
+            for a, b in zip(first, other):
+                p[position[a]] = position[b]
+            automorphisms.append(tuple(p))
+    return g._relabel(order)
 
 
 def canonical_key(g: Graph) -> int:
@@ -84,17 +114,59 @@ def canonical_key(g: Graph) -> int:
 
 # n -> list of levels; level m is a key-sorted list of canonical graphs.
 _LEVELS: dict[int, list[list[Graph]]] = {}
+# n -> one set of automorphisms per graph of the top level of _LEVELS[n],
+# while that level is still to be extended.
+_TOP_AUTOMORPHISMS: dict[int, list[set[tuple[int, ...]]]] = {}
+
+
+def _orbit_non_edges(g: Graph, automorphisms) -> list[tuple[int, int]]:
+    """The first non-edge of g, in non_edges() order, from each orbit of the
+    group the automorphisms generate."""
+    firsts = []
+    seen = set()
+    for e in g.non_edges():
+        if e in seen:
+            continue
+        firsts.append(e)
+        seen.add(e)
+        stack = [e]
+        while stack:
+            u, v = stack.pop()
+            for p in automorphisms:
+                a, b = p[u], p[v]
+                f = (a, b) if a < b else (b, a)
+                if f not in seen:
+                    seen.add(f)
+                    stack.append(f)
+    return firsts
 
 
 def _grow_levels(n: int, target_m: int) -> list[list[Graph]]:
-    levels = _LEVELS.setdefault(n, [[edgeless(n)]])
+    if n not in _LEVELS:
+        _LEVELS[n] = [[edgeless(n)]]
+        # The adjacent transpositions generate all of Aut(edgeless(n)).
+        _TOP_AUTOMORPHISMS[n] = [{
+            tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
+            for i in range(n - 1)}]
+    levels = _LEVELS[n]
+    half = comb(n, 2) // 2
+    while len(levels) <= min(target_m, half):
+        keep = len(levels) < half  # the new level is extended in turn
+        seen: dict[int, tuple[Graph, set]] = {}
+        for rep, autos in zip(levels[-1], _TOP_AUTOMORPHISMS[n]):
+            for u, v in _orbit_non_edges(rep, autos):
+                found = [] if keep else None
+                cg = canonical_graph(rep.add_edge(u, v), found)
+                entry = seen.setdefault(upper_triangle_key(cg), (cg, set()))
+                if keep:
+                    entry[1].update(found)
+        keys = sorted(seen)
+        levels.append([seen[k][0] for k in keys])
+        _TOP_AUTOMORPHISMS[n] = [seen[k][1] for k in keys]
     while len(levels) <= target_m:
-        seen: dict[int, Graph] = {}
-        for rep in levels[-1]:
-            for u, v in rep.non_edges():
-                cg = canonical_graph(rep.add_edge(u, v))
-                seen.setdefault(upper_triangle_key(cg), cg)
-        levels.append([seen[k] for k in sorted(seen)])
+        complements = [canonical_graph(g.complement())
+                       for g in levels[comb(n, 2) - len(levels)]]
+        levels.append(sorted(complements, key=upper_triangle_key))
     return levels
 
 

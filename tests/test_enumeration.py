@@ -8,23 +8,26 @@ from networkx.generators.atlas import graph_atlas_g
 
 from propconn.graph import (Graph, complete, complete_bipartite, cycle,
                             disjoint_union, edgeless, path)
-from propconn.enumeration import (MAX_CANONICAL_VERTICES, canonical_graph,
-                                  canonical_key, count_classes, enumerate_gnm,
-                                  upper_triangle_key)
+from propconn.enumeration import (MAX_CANONICAL_VERTICES, _orbit_non_edges,
+                                  canonical_graph, canonical_key, count_classes,
+                                  enumerate_gnm, upper_triangle_key)
 
 from conftest import graphs
 from oracles import all_labeled_graphs, brute_canonical_key
 
 # classes of graphs with n vertices and m edges, from brute-force labeled
-# canonicalization (see test_level_counts_match_labeled_brute_force)
+# canonicalization for n <= 5 (see test_level_counts_match_labeled_brute_force)
+# and from OEIS A008406 for n = 8
 LEVEL_COUNTS = {
     1: [1],
     2: [1, 1],
     3: [1, 1, 1, 1],
     4: [1, 1, 2, 3, 2, 1, 1],
     5: [1, 1, 2, 4, 6, 6, 6, 4, 2, 1, 1],
+    8: [1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557, 1646,
+        1557, 1312, 980, 663, 402, 221, 115, 56, 24, 11, 5, 2, 1, 1],
 }
-TOTAL_CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+TOTAL_CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 def test_named_class_counts():
@@ -46,8 +49,11 @@ def test_level_counts_match_labeled_brute_force():
 
 
 def test_total_class_counts():
+    # n = 8 enumerates all of G(8, .), about 35 s from a cold cache.
     for n, total in TOTAL_CLASSES.items():
-        assert sum(count_classes(n, m) for m in range(comb(n, 2) + 1)) == total
+        counts = [count_classes(n, m) for m in range(comb(n, 2) + 1)]
+        assert sum(counts) == total
+        assert counts == LEVEL_COUNTS.get(n, counts), n
 
 
 def test_enumeration_rejects_large_n():
@@ -131,27 +137,81 @@ def _matching(k, n):
     return disjoint_union(*[complete(2)] * k, edgeless(n - 2 * k))
 
 
+def _symmetric_family(n):
+    """Graphs on n vertices with large sets of tied orderings, which random
+    small graphs rarely build, and their complements."""
+    family = [_matching(k, n) for k in range(1, n // 2 + 1)]
+    family += [cycle(n), path(n), complete_bipartite(2, n - 2),
+               disjoint_union(complete(3), path(n - 3))]
+    return family + [g.complement() for g in family]
+
+
+def _at_bound():
+    n = MAX_CANONICAL_VERTICES
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)])
+    return (_matching(4, n), _matching(3, n), _matching(1, n), petersen,
+            edgeless(n), complete(n))
+
+
 def test_canonical_key_matches_brute_force_on_symmetric_families():
-    # Large sets of tied orderings, which random small graphs rarely build.
     rng = random.Random(7)
     for n in range(4, 8):
-        family = [_matching(k, n) for k in range(1, n // 2 + 1)]
-        family += [cycle(n), path(n), complete_bipartite(2, n - 2),
-                   disjoint_union(complete(3), path(n - 3))]
-        for g in family + [g.complement() for g in family]:
+        for g in _symmetric_family(n):
             assert canonical_key(_relabeled(g, rng)) == \
                 brute_canonical_key(g), (n, g)
 
 
 def test_canonical_graph_is_relabeling_invariant_at_bound():
-    n = MAX_CANONICAL_VERTICES
-    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
-                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-                     + [(i, i + 5) for i in range(5)])
     rng = random.Random(10)
-    for g in (_matching(4, n), _matching(3, n), _matching(1, n), petersen,
-              edgeless(n), complete(n)):
+    for g in _at_bound():
         cg = canonical_graph(g)
         assert cg.n == g.n and cg.m == g.m
         for _ in range(3):
             assert canonical_graph(_relabeled(g, rng)) == cg, g
+
+
+def _is_automorphism(g, p):
+    return sorted(p) == list(range(g.n)) and all(
+        sum(1 << p[u] for u in range(g.n) if row >> u & 1) == g.rows[p[v]]
+        for v, row in enumerate(g.rows))
+
+
+def _check_automorphisms(g):
+    autos = []
+    cg = canonical_graph(g, autos)
+    assert cg == canonical_graph(g)
+    for p in autos:
+        assert _is_automorphism(cg, p), (g, p)
+    return autos
+
+
+@settings(max_examples=150)
+@given(graphs(max_n=7))
+def test_search_automorphisms_preserve_the_graph(g):
+    _check_automorphisms(g)
+
+
+def test_search_automorphisms_preserve_symmetric_families():
+    rng = random.Random(11)
+    for g in _at_bound() + tuple(g for n in range(4, 8)
+                                 for g in _symmetric_family(n)):
+        assert _check_automorphisms(_relabeled(g, rng)), g
+
+
+def test_orbit_extensions_reach_every_child_class():
+    # One non-edge per orbit of the found automorphisms must reach the
+    # same classes as every non-edge, for every class on up to 6 vertices.
+    tried = extended = 0
+    for n in range(1, 7):
+        for m in range(comb(n, 2)):
+            for g in enumerate_gnm(n, m):
+                pruned = _orbit_non_edges(g, _check_automorphisms(g))
+                assert set(pruned) <= set(g.non_edges())
+                assert {canonical_key(g.add_edge(u, v)) for u, v in pruned} \
+                    == {canonical_key(g.add_edge(u, v))
+                        for u, v in g.non_edges()}, g
+                tried += len(pruned)
+                extended += len(g.non_edges())
+    assert tried < extended
