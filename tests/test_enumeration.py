@@ -8,9 +8,9 @@ from networkx.generators.atlas import graph_atlas_g
 
 from propconn.graph import (Graph, complete, complete_bipartite, cycle,
                             disjoint_union, edgeless, path)
-from propconn.enumeration import (MAX_CANONICAL_VERTICES, _orbit_non_edges,
-                                  canonical_graph, canonical_key, count_classes,
-                                  enumerate_gnm, upper_triangle_key)
+from propconn.enumeration import (MAX_CANONICAL_VERTICES, canonical_graph,
+                                  canonical_key, count_classes, enumerate_gnm,
+                                  upper_triangle_key)
 
 from conftest import graphs
 from oracles import all_labeled_graphs, brute_canonical_key
@@ -49,7 +49,7 @@ def test_level_counts_match_labeled_brute_force():
 
 
 def test_total_class_counts():
-    # n = 8 enumerates all of G(8, .), about 35 s from a cold cache.
+    # n = 8 enumerates all of G(8, .), about 7 s from a cold cache.
     for n, total in TOTAL_CLASSES.items():
         counts = [count_classes(n, m) for m in range(comb(n, 2) + 1)]
         assert sum(counts) == total
@@ -61,15 +61,40 @@ def test_enumeration_rejects_large_n():
         list(enumerate_gnm(9, 0))
     with pytest.raises(ValueError):
         list(enumerate_gnm(4, 7))
+    # rejected at the call, before anything is iterated
+    for n, m in ((9, 0), (-1, 0), (4, 7), (4, -1)):
+        with pytest.raises(ValueError):
+            enumerate_gnm(n, m)
+        with pytest.raises(ValueError):
+            count_classes(n, m)
 
 
 def test_representatives_are_canonical_and_sorted():
-    for m in range(comb(5, 2) + 1):
-        reps = list(enumerate_gnm(5, m))
-        keys = [upper_triangle_key(g) for g in reps]
-        assert keys == sorted(keys)
-        assert all(canonical_key(g) == k for g, k in zip(reps, keys))
-        assert all(g.n == 5 and g.m == m for g in reps)
+    for n in range(8):
+        for m in range(comb(n, 2) + 1):
+            reps = list(enumerate_gnm(n, m))
+            keys = [upper_triangle_key(g) for g in reps]
+            # strictly increasing: no class is emitted twice
+            assert all(a < b for a, b in zip(keys, keys[1:])), (n, m)
+            assert all(canonical_key(g) == k for g, k in zip(reps, keys))
+            assert all(g.n == n and g.m == m for g in reps)
+
+
+def test_lowest_zero_bit_gives_canonical_parent():
+    # The lemma orderly generation rests on: if c is the canonical key of g
+    # and p its lowest 0 bit, the canonical labeling of g plus the pair at
+    # bit p has canonical key c + 2^p.
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            if g.m == comb(n, 2):
+                continue
+            c = brute_canonical_key(g)
+            cg = canonical_graph(g)
+            assert upper_triangle_key(cg) == c
+            p = (~c & (c + 1)).bit_length() - 1
+            pair = next(e for e in cg.non_edges()
+                        if upper_triangle_key(Graph(n, [e])) == 1 << p)
+            assert brute_canonical_key(cg.add_edge(*pair)) == c + (1 << p), g
 
 
 def test_canonical_key_matches_brute_force_minimum():
@@ -170,48 +195,3 @@ def test_canonical_graph_is_relabeling_invariant_at_bound():
         assert cg.n == g.n and cg.m == g.m
         for _ in range(3):
             assert canonical_graph(_relabeled(g, rng)) == cg, g
-
-
-def _is_automorphism(g, p):
-    return sorted(p) == list(range(g.n)) and all(
-        sum(1 << p[u] for u in range(g.n) if row >> u & 1) == g.rows[p[v]]
-        for v, row in enumerate(g.rows))
-
-
-def _check_automorphisms(g):
-    autos = []
-    cg = canonical_graph(g, autos)
-    assert cg == canonical_graph(g)
-    for p in autos:
-        assert _is_automorphism(cg, p), (g, p)
-    return autos
-
-
-@settings(max_examples=150)
-@given(graphs(max_n=7))
-def test_search_automorphisms_preserve_the_graph(g):
-    _check_automorphisms(g)
-
-
-def test_search_automorphisms_preserve_symmetric_families():
-    rng = random.Random(11)
-    for g in _at_bound() + tuple(g for n in range(4, 8)
-                                 for g in _symmetric_family(n)):
-        assert _check_automorphisms(_relabeled(g, rng)), g
-
-
-def test_orbit_extensions_reach_every_child_class():
-    # One non-edge per orbit of the found automorphisms must reach the
-    # same classes as every non-edge, for every class on up to 6 vertices.
-    tried = extended = 0
-    for n in range(1, 7):
-        for m in range(comb(n, 2)):
-            for g in enumerate_gnm(n, m):
-                pruned = _orbit_non_edges(g, _check_automorphisms(g))
-                assert set(pruned) <= set(g.non_edges())
-                assert {canonical_key(g.add_edge(u, v)) for u, v in pruned} \
-                    == {canonical_key(g.add_edge(u, v))
-                        for u, v in g.non_edges()}, g
-                tried += len(pruned)
-                extended += len(g.non_edges())
-    assert tried < extended
