@@ -15,14 +15,14 @@ Edge side: a minimum edge disconnecting set is exactly the set of edges
 crossing an optimal partition of the vertices into parts of order at most
 tau (removing an edge internal to a surviving component would contradict
 minimality).  Components of order at most tau need no cut, and the optimum
-adds up over components, so each oversized component of order k is solved
-on its own by one dynamic program over its vertex subsets, about 3^k/2
-steps.  The DP maximizes lex scores (see ``_lex_edge_scores``): its
-optimum keeps the most edges inside parts and, among those partitions,
-cuts the lexicographically first minimum set, which is decoded from the
-optimal score alone.  That one pass gives both the value and the lex-first
-set.  Components larger than MAX_EDGE_SOLVER_VERTICES are rejected up
-front.
+adds up over components, so each oversized component is solved on its own
+by one dynamic program over its connected parts of order at most tau
+(``_best_partition_score``), whose work shrinks with tau.  The DP
+maximizes lex scores: its optimum keeps the most edges inside parts and,
+among those partitions, cuts the lexicographically first minimum set,
+which is decoded from the optimal score alone.  That one pass gives both
+the value and the lex-first set.  Components larger than
+MAX_EDGE_SOLVER_VERTICES are rejected up front.
 """
 
 from dataclasses import dataclass
@@ -31,11 +31,12 @@ from itertools import combinations
 
 from .graph import Graph, Threshold, MAX_VERTICES
 
-# Largest component order the edge DP accepts: the largest at which one
-# witness solve stays under a minute.  A component of order k costs about
-# 3^k/2 DP steps, close to 3x time per vertex; on a 2-vCPU CPython 3.11
-# machine a connected G(k, 1/2) witness took 0.64 s at k = 14, 5.6 s at
-# k = 16 and 51 s (44 MB peak RSS) at k = 18.
+# Largest component order the edge DP accepts.  A component of order k
+# needs a table of 2^k scores, and at mid to high tau its time grows about
+# 3x per vertex; on a 2-vCPU CPython 3.11 machine the slowest witness
+# solve over tau took 0.17 s at k = 14, 1.4 s at k = 16 and 11 s (25 MB
+# peak RSS) at k = 18 for a connected G(k, 1/2), and 0.22 / 1.5 / 16 s
+# for K_k.
 MAX_EDGE_SOLVER_VERTICES = 18
 
 
@@ -107,54 +108,64 @@ def copvc_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
     return DisconnectingWitness("vertex", tuple(chosen), len(chosen))
 
 
-def _lex_edge_scores(h: Graph) -> list[int]:
-    """inside[s]: the total score of the edges with both ends in s, where
-    the i-th of h's E edges (in ``h.edges()`` order) scores 2^E - 2^(E-1-i).
+def _best_partition_score(h: Graph, tau: int) -> int:
+    """The largest total score of the edges kept inside parts over the
+    partitions of h's vertices into parts of order at most tau (tau >= 1),
+    where the i-th of h's E edges (in ``h.edges()`` order) scores
+    2^E - 2^(E-1-i).
 
     A partition with more internal edges always scores higher; among those
     keeping equally many, the one whose crossing set sorts first scores
-    highest, since the scores differ in distinct powers of two.
+    highest, since the scores differ in distinct powers of two.  Splitting
+    a part into its connected pieces keeps its edges, so only connected
+    parts are grown.  best[s] is finished for the sets s with lowest vertex
+    l from l = h.n - 1 down to 0: the part holding l is {l} (best[s - {l}])
+    or a connected part p, which pushes score(p) + best[t] onto best[p | t]
+    for each set t of higher vertices outside p.  At l = 0 only the full
+    set is needed.
     """
     edges = h.edges()
     top = 1 << len(edges)
-    score = {(1 << u) | (1 << v): top - (top >> (i + 1))
-             for i, (u, v) in enumerate(edges)}
+    links = [[] for _ in range(h.n)]
+    for i, (u, v) in enumerate(edges):
+        w = top - (top >> (i + 1))
+        links[u].append((1 << v, w))
+        links[v].append((1 << u, w))
     full = (1 << h.n) - 1
-    inside = [0] * (full + 1)
-    for s in range(1, full + 1):
-        low = s & -s
-        rest = s ^ low
-        if rest:
-            # The edges of s avoid low, avoid the next vertex, or are the
-            # pair of the two.
-            second = rest & -rest
-            inside[s] = (inside[rest] + inside[s ^ second]
-                         - inside[rest ^ second] + score.get(low | second, 0))
-    return inside
-
-
-def _partition_dp(inside: list[int], tau: int) -> int:
-    """The largest total of inside[part] over the partitions of the full
-    vertex set into parts of order at most tau (tau >= 1)."""
-    limit = tau - 1
-    best = [0] * len(inside)
-    for s in range(1, len(inside)):
-        low = s & -s
-        rest = s ^ low
-        # The part holding the lowest vertex is {low} | sub for sub <= rest.
-        b = -1
-        sub = rest
-        while True:
-            if sub.bit_count() <= limit:
-                part = low | sub
-                cand = inside[part] + best[s ^ part]
-                if cand > b:
-                    b = cand
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        best[s] = b
-    return best[-1]
+    best = [0] * (full + 1)
+    for l in range(h.n - 1, -1, -1):
+        low = 1 << l
+        above = full ^ (2 * low - 1)
+        best[low::2 * low] = best[::2 * low]
+        # Entries are (part, order, score, candidates, banned); each adds
+        # its lowest candidate and leaves a sibling that bans it, so every
+        # connected part holding l is grown once.
+        stack = [(low, 1, 0, h.rows[l] & above, 0)]
+        while stack:
+            part, size, score, cand, banned = stack.pop()
+            if not cand or size == tau:
+                continue
+            bit = cand & -cand
+            cand ^= bit
+            stack.append((part, size, score, cand, banned | bit))
+            v = bit.bit_length() - 1
+            p = part | bit
+            s = score + sum(w for u, w in links[v] if part & u)
+            rest = above & ~p
+            if l == 0:
+                best[full] = max(best[full], s + best[rest])
+            else:
+                t = rest
+                while True:
+                    c = s + best[t]
+                    if c > best[p | t]:
+                        best[p | t] = c
+                    if not t:
+                        break
+                    t = (t - 1) & rest
+            stack.append((p, size + 1, s, cand | (h.rows[v] & rest & ~banned),
+                          banned))
+    return best[full]
 
 
 def _lex_first_cut(h: Graph, tau: int) -> list[tuple[int, int]]:
@@ -167,7 +178,7 @@ def _lex_first_cut(h: Graph, tau: int) -> list[tuple[int, int]]:
     """
     edges = h.edges()
     top = 1 << len(edges)
-    score = _partition_dp(_lex_edge_scores(h), tau)
+    score = _best_partition_score(h, tau)
     kept = -(-score // top)
     mask = kept * top - score
     return [e for i, e in enumerate(edges) if not mask & (top >> (i + 1))]

@@ -80,6 +80,59 @@ def brute_canonical_key(g: Graph) -> int:
     return best if best is not None else 0
 
 
+# The edge solver's former partition DP, which walks every submask of every
+# vertex set, connected or not: partition_dp(lex_edge_scores(h), tau) is the
+# reference score for solver._best_partition_score(h, tau).
+def lex_edge_scores(h: Graph) -> list[int]:
+    """inside[s]: the total score of the edges with both ends in s, where
+    the i-th of h's E edges (in ``h.edges()`` order) scores 2^E - 2^(E-1-i).
+
+    A partition with more internal edges always scores higher; among those
+    keeping equally many, the one whose crossing set sorts first scores
+    highest, since the scores differ in distinct powers of two.
+    """
+    edges = h.edges()
+    top = 1 << len(edges)
+    score = {(1 << u) | (1 << v): top - (top >> (i + 1))
+             for i, (u, v) in enumerate(edges)}
+    full = (1 << h.n) - 1
+    inside = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        rest = s ^ low
+        if rest:
+            # The edges of s avoid low, avoid the next vertex, or are the
+            # pair of the two.
+            second = rest & -rest
+            inside[s] = (inside[rest] + inside[s ^ second]
+                         - inside[rest ^ second] + score.get(low | second, 0))
+    return inside
+
+
+def partition_dp(inside: list[int], tau: int) -> int:
+    """The largest total of inside[part] over the partitions of the full
+    vertex set into parts of order at most tau (tau >= 1)."""
+    limit = tau - 1
+    best = [0] * len(inside)
+    for s in range(1, len(inside)):
+        low = s & -s
+        rest = s ^ low
+        # The part holding the lowest vertex is {low} | sub for sub <= rest.
+        b = -1
+        sub = rest
+        while True:
+            if sub.bit_count() <= limit:
+                part = low | sub
+                cand = inside[part] + best[s ^ part]
+                if cand > b:
+                    b = cand
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        best[s] = b
+    return best[-1]
+
+
 def max_partition_edges(n: int, tau: int) -> int:
     """Max of sum C(a_i, 2) over partitions of n into parts of order <= tau
     (the most edges any failed graph can carry, found without building any

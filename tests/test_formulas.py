@@ -134,3 +134,15 @@ def test_cycle_harness_never_asserted_away():
 def test_bipartite_edge_has_no_formula():
     with pytest.raises(ValueError):
         formula_vs_oracle(ClassSpec("complete_bipartite", a=2, b=2), HALF, "edge")
+
+
+def test_path_and_cycle_edge_formulas_at_fifteen_to_eighteen():
+    # Up to the edge solver's limit of 18 vertices: 40 entries, where no
+    # proven form fails and the unproven cycle forms match as well.
+    for n in range(15, 19):
+        for family in ("path", "cycle"):
+            for r in STANDARD_GRID:
+                entry = formula_vs_oracle(ClassSpec(family, n=n), r, "edge")
+                assert not entry.failed_proven, entry
+                assert entry.checks and all(c.matches_oracle
+                                            for c in entry.checks), entry

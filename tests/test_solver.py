@@ -10,12 +10,14 @@ from propconn.graph import (Graph, complete, cycle, disjoint_union, edgeless,
                             path)
 from propconn.solver import (MAX_EDGE_SOLVER_VERTICES, DisconnectingWitness,
                              EdgeSolverLimitError, copec_exact, copec_value,
-                             copvc_exact, copvc_value, verify_witness)
+                             copvc_exact, copvc_value, verify_witness,
+                             _best_partition_score)
 from propconn.enumeration import enumerate_gnm
 
 from conftest import SOLVER_GRID, graphs, proportions
 from oracles import (brute_lex_first_edge_set, brute_lex_first_vertex_set,
-                     brute_min_edge_set, brute_min_vertex_set)
+                     brute_min_edge_set, brute_min_vertex_set,
+                     lex_edge_scores, partition_dp)
 
 HALF = Fraction(1, 2)
 
@@ -241,17 +243,39 @@ def test_edge_solver_limit_counts_only_oversized_components():
 def test_values_match_networkx_beyond_oracle_orders():
     # At tau = 1 only isolated vertices may survive: the vertex value is a
     # minimum vertex cover, n - omega(complement), and every edge goes.  At
-    # tau = 2 the kept edges form a matching, so m - nu(g) edges go.
+    # tau = 2 the kept edges form a matching, so m - nu(g) edges go.  The
+    # edge checks run up to the edge solver's limit of 18 vertices.
     rng = random.Random(20211)
-    for n in range(10, 15):
+    for n in range(10, 19):
         for p in (0.2, 0.4, 0.6, 0.8):
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                           if rng.random() < p])
-            complement = nx.Graph(g.complement().edges())
-            complement.add_nodes_from(range(n))
-            _, omega = nx.max_weight_clique(complement, weight=None)
+            if n <= 14:
+                complement = nx.Graph(g.complement().edges())
+                complement.add_nodes_from(range(n))
+                _, omega = nx.max_weight_clique(complement, weight=None)
+                assert copvc_value(g, 1) == n - omega, (n, p)
             matching = nx.max_weight_matching(nx.Graph(g.edges()),
                                               maxcardinality=True)
-            assert copvc_value(g, 1) == n - omega, (n, p)
             assert copec_value(g, 1) == g.m, (n, p)
             assert copec_value(g, 2) == g.m - len(matching), (n, p)
+
+
+def test_partition_score_matches_all_submask_reference():
+    # The connected-part DP against the all-submask DP it replaced, which
+    # tries every part, connected or not: every class of G(7, .) at tau
+    # 1-6, then seeded G(n, p) draws at n = 9-12, one tau each.
+    cases = [(g, range(1, 7)) for m in range(comb(7, 2) + 1)
+             for g in enumerate_gnm(7, m)]
+    rng = random.Random(11)
+    for i in range(32):
+        n = 9 + i % 4
+        p = (0.2, 0.4, 0.6, 0.8)[i // 4 % 4]
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < p])
+        cases.append((g, (rng.randint(1, n - 1),)))
+    for g, taus in cases:
+        inside = lex_edge_scores(g)
+        for tau in taus:
+            assert (_best_partition_score(g, tau)
+                    == partition_dp(inside, tau)), (g, tau)
