@@ -11,7 +11,8 @@ from .graph import (Graph, ComponentSummary, Threshold, MAX_VERTICES,
                     proportion, parse_proportion, edgeless, path, cycle,
                     complete, complete_bipartite, disjoint_union)
 from .solver import (DisconnectingWitness, EdgeSolverLimitError,
-                     MAX_EDGE_SOLVER_VERTICES, copvc_exact, copec_exact,
+                     MAX_EDGE_SOLVER_VERTICES, MAX_VERTEX_SOLVER_VERTICES,
+                     VertexSolverLimitError, copvc_exact, copec_exact,
                      copvc_value, copec_value, verify_witness)
 from .formulas import (FormulaResult, ClassSpec, FormulaCheck,
                        DiscrepancyEntry, PROVEN_FORMULAS,
@@ -42,6 +43,7 @@ __all__ = [
     "proportion", "parse_proportion", "edgeless", "path", "cycle",
     "complete", "complete_bipartite", "disjoint_union",
     "DisconnectingWitness", "EdgeSolverLimitError", "MAX_EDGE_SOLVER_VERTICES",
+    "VertexSolverLimitError", "MAX_VERTEX_SOLVER_VERTICES",
     "copvc_exact", "copec_exact",
     "copvc_value", "copec_value", "verify_witness",
     "FormulaResult", "ClassSpec", "FormulaCheck", "DiscrepancyEntry",

@@ -63,12 +63,20 @@ def max_bipartite_subgraph(g: Graph) -> BipartiteWitness:
     best, best_a = -1, 0
 
     def search(v: int, side_a: int, side_b: int, cross: int, a_rest: int,
-               slack: int):
-        # a_rest: edges from A to the unassigned vertices v..n-1;
-        # slack: edges with an endpoint in v..n-1, the most that can
-        # still cross.
+               b_rest: int, inner: int):
+        # a_rest, b_rest: edges from A, from B to the unassigned vertices
+        # v..n-1; inner: edges among them.  An unassigned vertex can still
+        # cross its edges to one side only, so the bound takes the larger
+        # side of each; the plain count of open edges is tried first.
         nonlocal best, best_a
-        if cross + slack <= best:
+        bound = cross + inner
+        if bound + a_rest + b_rest <= best:
+            return
+        for row in rows[v:]:
+            a = (row & side_a).bit_count()
+            b = (row & side_b).bit_count()
+            bound += a if a > b else b
+        if bound <= best:
             return
         if cross + a_rest > best:
             best, best_a = cross + a_rest, side_a
@@ -78,13 +86,12 @@ def max_bipartite_subgraph(g: Graph) -> BipartiteWitness:
         to_a = (row & side_a).bit_count()
         to_b = (row & side_b).bit_count()
         ahead = (row >> (v + 1)).bit_count()
-        rest = slack - to_a - to_b
         search(v + 1, side_a | 1 << v, side_b, cross + to_b,
-               a_rest - to_a + ahead, rest)
+               a_rest - to_a + ahead, b_rest - to_b, inner - ahead)
         search(v + 1, side_a, side_b | 1 << v, cross + to_a, a_rest - to_a,
-               rest)
+               b_rest - to_b + ahead, inner - ahead)
 
-    search(1, 1, 0, 0, rows[0].bit_count(), g.m)
+    search(1, 1, 0, 0, rows[0].bit_count(), 0, g.m - rows[0].bit_count())
     part_a = tuple(v for v in range(n) if best_a >> v & 1)
     part_b = tuple(v for v in range(n) if not best_a >> v & 1)
     return BipartiteWitness((part_a, part_b), best)

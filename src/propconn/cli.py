@@ -117,7 +117,7 @@ def _cmd_compute(args) -> int:
     inputs = {"file": args.graph, "n": g.n, "m": g.m,
               "r": fraction_str(args.r), "mode": args.mode}
     if args.mode == "vertex":
-        solve, method = copvc_exact, "exact-search"
+        solve, method = copvc_exact, "branch-and-bound"
     else:
         solve, method = copec_exact, "partition-dp"
     witness = solve(g, args.r)

@@ -5,11 +5,17 @@ the package is checked, so they favor exhaustive-but-pruned strategies over
 heuristics.
 
 Vertex side: the optimum adds up over components, so each component of
-order k > tau is searched on its own, its vertex subsets in size-ascending,
-then lex order, for sizes 1 .. k - tau (any k - tau vertices leave only
-tau).  A candidate is tested on the mask of the component's surviving
-vertices, with no relabeled graph, and each growth of a surviving
-component stops as soon as it passes tau.
+order k > tau is searched on its own, by one branch and bound that decides
+keep or remove for its vertices in label order, remove first
+(``_kept_mask``).  It starts from removing the lowest k - tau vertices,
+which always works, and takes an incumbent only on a strict gain, so the
+first optimum it reaches is the lexicographically first minimum set.  The
+prunes: a kept part of order tau forces its undecided neighbours out; a
+node whose kept and undecided vertices form a failure state is the best
+leaf below it; a node that cannot keep more than the incumbent is cut; and
+once only one more removal can gain, just the vertices lying in every
+oversized connected set found so far are tried.  Components larger than
+MAX_VERTEX_SOLVER_VERTICES are rejected up front.
 
 Edge side: a minimum edge disconnecting set is exactly the set of edges
 crossing an optimal partition of the vertices into parts of order at most
@@ -27,9 +33,15 @@ MAX_EDGE_SOLVER_VERTICES are rejected up front.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .graph import Graph, Threshold, MAX_VERTICES
+
+# Largest component order the vertex search accepts.  Its time peaks at
+# mid tau and grows about 2x per vertex; on a 2-vCPU CPython 3.11 machine
+# the slowest tau took 5.8 s at k = 25, 23 s at k = 27, 45 s at k = 28 and
+# 84 s at k = 29 for a connected G(k, 1/2), and 5.5 / 22 / 47 s at
+# k = 25 / 27 / 28 for K_{k/2, k/2}.
+MAX_VERTEX_SOLVER_VERTICES = 28
 
 # Largest component order the edge DP accepts.  A component of order k
 # needs a table of 2^k scores, and at mid to high tau its time grows about
@@ -38,6 +50,10 @@ from .graph import Graph, Threshold, MAX_VERTICES
 # peak RSS) at k = 18 for a connected G(k, 1/2), and 0.22 / 1.5 / 16 s
 # for K_k.
 MAX_EDGE_SOLVER_VERTICES = 18
+
+
+class VertexSolverLimitError(ValueError):
+    """A component the vertex solver must split is too large to finish."""
 
 
 class EdgeSolverLimitError(ValueError):
@@ -70,29 +86,152 @@ def _oversized_masks(g: Graph, tau: int) -> list[int]:
     return [m for m in g.component_masks() if m.bit_count() > tau]
 
 
+def _kept_mask(g: Graph, comp: int, tau: int) -> int:
+    """The vertices of the component mask ``comp`` (order k > tau >= 1)
+    that the lexicographically first minimum removal keeps.
+
+    A node of the search holds the kept vertices, the undecided ones (all
+    above the decided ones) and size = |kept| + |undecided|, the most it can
+    still keep.  Its first child removes the lowest undecided vertex, the
+    second keeps it, so removed sets are met in lex order; incumbents are
+    taken only on a strict gain.
+    """
+    rows = g.rows
+
+    def oversized(live):
+        """None when every component of the vertex mask ``live`` has order
+        <= tau.  Otherwise (witness, core): witness is a connected set of
+        tau + 1 vertices of live, grown breadth-first from the highest
+        vertex of its component and cut inside its last layer, keeping that
+        layer's highest vertices; core is witness less the last layer when
+        the layer had vertices to spare (any of them completes the set), so
+        every vertex of live outside core misses some oversized set."""
+        remaining = live
+        while remaining.bit_count() > tau:
+            part = todo = 1 << (remaining.bit_length() - 1)
+            while todo:
+                v = todo.bit_length() - 1
+                new = rows[v] & live & ~part
+                spare = (part | new).bit_count() - tau - 1
+                if spare > 0:
+                    for _ in range(spare):
+                        new &= new - 1
+                    return part | new, part
+                if not spare:
+                    return part | new, part | new
+                part |= new
+                todo ^= 1 << v | new
+            remaining ^= part
+        return None
+
+    # Removing any k - tau vertices leaves only tau; the lowest sort first.
+    best, best_kept = tau, comp
+    for _ in range(comp.bit_count() - tau):
+        best_kept &= best_kept - 1
+
+    def search(kept, undecided, closed, size, witness, core):
+        # live = kept | undecided holds the witness, so it is no failure
+        # state, and every vertex of live outside core misses some
+        # oversized set of live.  closed holds the kept parts of order
+        # tau, whose undecided neighbours are gone; kept holds the others.
+        nonlocal best, best_kept
+        while size - 1 > best:
+            if size - 2 <= best:
+                # Only one more removal can gain: the lowest undecided
+                # vertex whose removal leaves a failure state.  It lies in
+                # every oversized set, so only the core's are tried.
+                live = kept | undecided
+                hit = core & undecided
+                while hit:
+                    bit = hit & -hit
+                    found = oversized(live ^ bit)
+                    if found is None:
+                        best, best_kept = size - 1, live ^ bit | closed
+                        return
+                    hit &= found[1]
+                return
+            bit = undecided & -undecided
+            undecided ^= bit
+            if witness & bit:
+                found = oversized(kept | undecided)
+                if found is None:
+                    best, best_kept = size - 1, kept | undecided | closed
+                elif size - 2 > best:
+                    search(kept, undecided, closed, size - 1, *found)
+            elif size - 2 > best:
+                search(kept, undecided, closed, size - 1, witness, witness)
+            if not witness & undecided:
+                return  # keeping bit would keep the whole witness
+            row = rows[bit.bit_length() - 1]
+            if kept.bit_count() < tau - 1:
+                # bit's part stays under tau; it holds bit and its kept
+                # neighbours, and its undecided neighbours must fit beside
+                order = 1 + (row & kept).bit_count()
+                out = row & undecided
+            else:
+                part = bit | (row & kept)
+                todo = part ^ bit
+                around = row
+                while todo:
+                    v = todo.bit_length() - 1
+                    around |= rows[v]
+                    new = rows[v] & kept & ~part
+                    part |= new
+                    todo ^= 1 << v | new
+                order = part.bit_count()
+                if order > tau:
+                    return
+                out = around & undecided
+                if order == tau:
+                    # A full part: its undecided neighbours must go.
+                    size -= out.bit_count()
+                    if size <= best:
+                        return
+                    kept ^= part ^ bit
+                    closed |= part
+                    undecided ^= out
+                    if witness & out:
+                        found = oversized(kept | undecided)
+                        if found is None:
+                            best, best_kept = size, kept | undecided | closed
+                            return
+                        witness, core = found
+                    else:
+                        core = witness
+                    continue
+            # At most tau - order of the undecided neighbours can be kept.
+            if size - out.bit_count() + tau - order <= best:
+                return
+            kept |= bit
+
+    if comp.bit_count() - 1 > best:
+        search(0, comp, 0, comp.bit_count(), comp, comp)
+    return best_kept
+
+
 def _min_vertex_set(g: Graph, tau: int) -> list[int]:
     """The lexicographically first minimum vertex set whose removal leaves
     no component of order > tau, as sorted labels.
 
-    Each oversized component is solved on its own by trying its vertex
-    subsets in size-ascending, then lex order; a candidate passes when the
-    surviving vertices of the component hold no component of order > tau.
-    For equal-size sets, A sorts before B exactly when min(A ^ B) lies in
-    A, and A ^ B splits by component, so the union of the per-component
-    lex-first sets is the lex-first set of the whole graph.
+    Each oversized component is solved on its own by ``_kept_mask``.  For
+    equal-size sets, A sorts before B exactly when min(A ^ B) lies in A,
+    and A ^ B splits by component, so the union of the per-component
+    lex-first sets is the lex-first set of the whole graph.  Raises
+    VertexSolverLimitError before any search when an oversized component
+    is larger than MAX_VERTEX_SOLVER_VERTICES.
     """
     if tau <= 0:
         # Any surviving vertex is a component of order 1 > 0.
         return list(range(g.n))
+    oversized = _oversized_masks(g, tau)
+    largest = max((mask.bit_count() for mask in oversized), default=0)
+    if largest > MAX_VERTEX_SOLVER_VERTICES:
+        raise VertexSolverLimitError(
+            f"component of order {largest} exceeds the vertex solver bound "
+            f"{MAX_VERTEX_SOLVER_VERTICES}")
     removed = 0
-    for comp in _oversized_masks(g, tau):
-        bits = [1 << v for v in range(g.n) if comp >> v & 1]
-        removed |= next(
-            (s for k in range(1, len(bits) - tau)
-             for s in map(sum, combinations(bits, k))
-             if not g.has_component_over(tau, comp ^ s)),
-            # Removing any len(bits) - tau vertices leaves only tau.
-            sum(bits[:len(bits) - tau]))
+    for comp in oversized:
+        removed |= comp ^ _kept_mask(g, comp, tau)
     return [v for v in range(g.n) if removed >> v & 1]
 
 

@@ -25,6 +25,29 @@ def brute_min_vertex_set(g: Graph, r) -> int:
     return len(brute_lex_first_vertex_set(g, r))
 
 
+# The vertex solver's former search: each oversized component's vertex
+# subsets in size-ascending, then lex order, tested on the mask of the
+# surviving vertices.  scan_min_vertex_set(g, tau) is the reference for
+# solver._min_vertex_set(g, tau).
+def scan_min_vertex_set(g: Graph, tau: int) -> list[int]:
+    """The lexicographically first minimum vertex set whose removal leaves
+    no component of order > tau, as sorted labels."""
+    if tau <= 0:
+        return list(range(g.n))
+    removed = 0
+    for comp in g.component_masks():
+        if comp.bit_count() <= tau:
+            continue
+        bits = [1 << v for v in range(g.n) if comp >> v & 1]
+        removed |= next(
+            (s for k in range(1, len(bits) - tau)
+             for s in map(sum, combinations(bits, k))
+             if not g.has_component_over(tau, comp ^ s)),
+            # Removing any len(bits) - tau vertices leaves only tau.
+            sum(bits[:len(bits) - tau]))
+    return [v for v in range(g.n) if removed >> v & 1]
+
+
 def brute_lex_first_edge_set(g: Graph, r) -> tuple | None:
     """The first disconnecting subset in combinations(g.edges(), k) at the
     minimum k, or None when infeasible."""

@@ -7,7 +7,8 @@ from propconn.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from propconn.enumeration import MAX_CANONICAL_VERTICES
 from propconn.formats import parse_graph6, serialize_edge_list
 from propconn.graph import path
-from propconn.solver import MAX_EDGE_SOLVER_VERTICES, copec_value
+from propconn.solver import (MAX_EDGE_SOLVER_VERTICES,
+                             MAX_VERTEX_SOLVER_VERTICES, copec_value)
 
 
 def run(capsys, *argv):
@@ -65,7 +66,7 @@ def test_compute_method_names_the_algorithm_that_ran(tmp_path, capsys):
         assert code == EXIT_OK
         report = json.loads(out)
         methods[mode] = report["method"]
-    assert methods == {"vertex": "exact-search", "edge": "partition-dp"}
+    assert methods == {"vertex": "branch-and-bound", "edge": "partition-dp"}
     assert report["value"] == 1 and report["witness"] == [[1, 2]]
 
 
@@ -76,6 +77,16 @@ def test_compute_edge_over_solver_limit_exit_code(tmp_path, capsys):
                          "--r", "1/2", "--mode", "edge")
     assert code == EXIT_USAGE
     assert out == "" and "edge solver bound" in err
+
+
+def test_compute_vertex_over_solver_limit_exit_code(tmp_path, capsys):
+    graph_file = tmp_path / "long-path.el"
+    graph_file.write_text(
+        serialize_edge_list(path(MAX_VERTEX_SOLVER_VERTICES + 1)))
+    code, out, err = run(capsys, "compute", "--graph", str(graph_file),
+                         "--r", "1/2", "--mode", "vertex")
+    assert code == EXIT_USAGE
+    assert out == "" and "vertex solver bound" in err
 
 
 def test_compute_infeasible_exit_code(tmp_path, capsys):

@@ -8,16 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from propconn.graph import (Graph, complete, cycle, disjoint_union, edgeless,
                             path)
-from propconn.solver import (MAX_EDGE_SOLVER_VERTICES, DisconnectingWitness,
-                             EdgeSolverLimitError, copec_exact, copec_value,
-                             copvc_exact, copvc_value, verify_witness,
-                             _best_partition_score)
+from propconn.solver import (MAX_EDGE_SOLVER_VERTICES,
+                             MAX_VERTEX_SOLVER_VERTICES, DisconnectingWitness,
+                             EdgeSolverLimitError, VertexSolverLimitError,
+                             copec_exact, copec_value, copvc_exact,
+                             copvc_value, verify_witness,
+                             _best_partition_score, _min_vertex_set)
 from propconn.enumeration import enumerate_gnm
 
 from conftest import SOLVER_GRID, graphs, proportions
 from oracles import (brute_lex_first_edge_set, brute_lex_first_vertex_set,
                      brute_min_edge_set, brute_min_vertex_set,
-                     lex_edge_scores, partition_dp)
+                     lex_edge_scores, partition_dp, scan_min_vertex_set)
 
 HALF = Fraction(1, 2)
 
@@ -244,21 +246,64 @@ def test_values_match_networkx_beyond_oracle_orders():
     # At tau = 1 only isolated vertices may survive: the vertex value is a
     # minimum vertex cover, n - omega(complement), and every edge goes.  At
     # tau = 2 the kept edges form a matching, so m - nu(g) edges go.  The
-    # edge checks run up to the edge solver's limit of 18 vertices.
+    # vertex checks run up to the vertex solver's limit, the edge checks up
+    # to the edge solver's limit of 18 vertices.
     rng = random.Random(20211)
-    for n in range(10, 19):
+    for n in range(10, MAX_VERTEX_SOLVER_VERTICES + 1):
         for p in (0.2, 0.4, 0.6, 0.8):
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                           if rng.random() < p])
-            if n <= 14:
-                complement = nx.Graph(g.complement().edges())
-                complement.add_nodes_from(range(n))
-                _, omega = nx.max_weight_clique(complement, weight=None)
-                assert copvc_value(g, 1) == n - omega, (n, p)
+            complement = nx.Graph(g.complement().edges())
+            complement.add_nodes_from(range(n))
+            _, omega = nx.max_weight_clique(complement, weight=None)
+            assert copvc_value(g, 1) == n - omega, (n, p)
+            if n > MAX_EDGE_SOLVER_VERTICES:
+                continue
             matching = nx.max_weight_matching(nx.Graph(g.edges()),
                                               maxcardinality=True)
             assert copec_value(g, 1) == g.m, (n, p)
             assert copec_value(g, 2) == g.m - len(matching), (n, p)
+
+
+def test_vertex_search_matches_subset_scan():
+    # The branch and bound against the size-ascending subset scan it
+    # replaced, witness for witness: every class of G(7, .) at tau 1-6,
+    # then seeded G(n, p) draws at n = 11-16, one tau each.
+    cases = [(g, range(1, 7)) for m in range(comb(7, 2) + 1)
+             for g in enumerate_gnm(7, m)]
+    rng = random.Random(12)
+    for i in range(36):
+        n = 11 + i % 6
+        p = (0.3, 0.6, 0.9)[i // 6 % 3]
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < p])
+        cases.append((g, (rng.randint(1, n - 2),)))
+    for g, taus in cases:
+        for tau in taus:
+            assert (_min_vertex_set(g, tau)
+                    == scan_min_vertex_set(g, tau)), (g, tau)
+
+
+def test_vertex_solver_rejects_component_over_limit():
+    g = path(MAX_VERTEX_SOLVER_VERTICES + 1)
+    with pytest.raises(VertexSolverLimitError):
+        copvc_exact(g, HALF)
+    with pytest.raises(VertexSolverLimitError):
+        copvc_value(g, 1)
+
+
+def test_vertex_solver_limit_is_pinned():
+    # The bound is measured (README, Limits): the largest order whose
+    # slowest tau stays under a minute.  Changing the search means
+    # measuring it again.
+    assert MAX_VERTEX_SOLVER_VERTICES == 28
+    # Only components the search must split count: a 40-vertex graph of
+    # small parts is solved, and so is the largest accepted order.
+    k5s = disjoint_union(*[complete(5)] * 8)
+    assert copvc_value(k5s, 3) == 8 * 2
+    assert copvc_value(path(MAX_VERTEX_SOLVER_VERTICES), 1) == 14
+    assert copvc_exact(disjoint_union(path(40), edgeless(2)),
+                       Fraction(40, 42)).cardinality == 0
 
 
 def test_partition_score_matches_all_submask_reference():
