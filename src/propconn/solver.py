@@ -101,10 +101,11 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
     def oversized(live):
         """None when every component of the vertex mask ``live`` has order
         <= tau.  Otherwise (witness, core): witness is a connected set of
-        tau + 1 vertices of live, grown breadth-first from the highest
-        vertex of its component and cut inside its last layer, keeping that
-        layer's highest vertices; core is witness less the last layer when
-        the layer had vertices to spare (any of them completes the set), so
+        tau + 1 vertices of live, grown from the highest vertex of its
+        component by adding the new neighbours of one member at a time,
+        highest member first, and cut inside the last batch, keeping that
+        batch's highest vertices; core is witness less that batch when the
+        batch had vertices to spare (any of them completes the set), so
         every vertex of live outside core misses some oversized set."""
         remaining = live
         while remaining.bit_count() > tau:
@@ -204,8 +205,7 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
                 return
             kept |= bit
 
-    if comp.bit_count() - 1 > best:
-        search(0, comp, 0, comp.bit_count(), comp, comp)
+    search(0, comp, 0, comp.bit_count(), comp, comp)
     return best_kept
 
 
