@@ -7,9 +7,9 @@ evaluates the known closed forms and extremal-family values against that
 solver, and checks two open claims about the family maximum at desk scale.
 """
 
-from .graph import (Graph, ComponentSummary, Threshold, MAX_VERTICES,
-                    proportion, parse_proportion, edgeless, path, cycle,
-                    complete, complete_bipartite, disjoint_union)
+from .graph import (Graph, Threshold, MAX_VERTICES, proportion,
+                    parse_proportion, edgeless, path, cycle, complete,
+                    complete_bipartite, disjoint_union)
 from .solver import (DisconnectingWitness, EdgeSolverLimitError,
                      MAX_EDGE_SOLVER_VERTICES, MAX_VERTEX_SOLVER_VERTICES,
                      VertexSolverLimitError, copvc_exact, copec_exact,
@@ -39,7 +39,7 @@ from .formats import (parse_edge_list, serialize_edge_list, parse_graph6,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "ComponentSummary", "Threshold", "MAX_VERTICES",
+    "Graph", "Threshold", "MAX_VERTICES",
     "proportion", "parse_proportion", "edgeless", "path", "cycle",
     "complete", "complete_bipartite", "disjoint_union",
     "DisconnectingWitness", "EdgeSolverLimitError", "MAX_EDGE_SOLVER_VERTICES",

@@ -117,7 +117,8 @@ def egk_bounds(g: Graph) -> tuple[int | None, int | None]:
     n, m = g.n, g.m
     no_isolated = all(g.degree(v) > 0 for v in range(n))
     isolated_free_bound = ceil(Fraction(3 * m + n, 6)) if no_isolated else None
-    connected_bound = ceil(Fraction(2 * m + n - 1, 4)) if n >= 1 and g.is_connected() else None
+    connected = len(g.component_masks()) == 1
+    connected_bound = ceil(Fraction(2 * m + n - 1, 4)) if connected else None
     return isolated_free_bound, connected_bound
 
 

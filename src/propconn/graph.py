@@ -42,36 +42,21 @@ def parse_proportion(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class Threshold:
-    """Largest admissible component order: tau = floor(r * n_original).
+    """Largest admissible component order: tau = floor(r * n) for the
+    original order n.
 
-    The original order is kept alongside tau because removals never shrink
-    the threshold; components of a pruned graph are still measured against
-    the order the graph had before anything was removed.
+    Removals never shrink the threshold; components of a pruned graph are
+    still measured against the order the graph had before anything was
+    removed.
     """
 
     tau: int
-    n_original: int
-    rn_is_integer: bool
 
     @classmethod
     def for_order(cls, r: Fraction, n: int) -> "Threshold":
         if n < 1:
             raise ValueError("threshold requires a positive original order")
-        num = r.numerator * n
-        return cls(tau=num // r.denominator, n_original=n,
-                   rn_is_integer=num % r.denominator == 0)
-
-
-@dataclass(frozen=True)
-class ComponentSummary:
-    """Connected component orders (sorted descending) of an analyzed graph."""
-
-    orders: tuple[int, ...]
-    largest: int
-
-    @property
-    def count(self) -> int:
-        return len(self.orders)
+        return cls(tau=(r.numerator * n) // r.denominator)
 
 
 class Graph:
@@ -225,32 +210,20 @@ class Graph:
             remaining ^= comp
         return masks
 
-    def has_component_over(self, cap: int, within: int | None = None) -> bool:
-        """True iff some component of the subgraph induced on ``within``
-        (the whole graph by default) has more than cap vertices."""
-        remaining = (1 << self.n) - 1 if within is None else within
-        while remaining.bit_count() > cap:
-            comp = self.grow_component(remaining & -remaining, remaining, cap)
-            if comp.bit_count() > cap:
-                return True
-            remaining ^= comp
-        return False
+    def is_failure_state(self, tau: int, within: int | None = None) -> bool:
+        """True iff every component of the subgraph induced on the vertex
+        mask ``within`` (the whole graph by default) has order at most tau.
 
-    def components(self) -> ComponentSummary:
-        orders = sorted((m.bit_count() for m in self.component_masks()),
-                        reverse=True)
-        return ComponentSummary(tuple(orders), orders[0] if orders else 0)
-
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.component_masks()) == 1
-
-    def is_failure_state(self, threshold: Threshold) -> bool:
-        """True iff every component order is at most threshold.tau.
-
-        The empty graph is vacuously failed.  The threshold may come from an
-        original order larger than this graph's current order.
+        The empty graph is vacuously failed.  tau may come from an original
+        order larger than this graph's current order.
         """
-        return not self.has_component_over(threshold.tau)
+        remaining = (1 << self.n) - 1 if within is None else within
+        while remaining.bit_count() > tau:
+            comp = self.grow_component(remaining & -remaining, remaining, tau)
+            if comp.bit_count() > tau:
+                return False
+            remaining ^= comp
+        return True
 
 
 def edgeless(n: int) -> Graph:

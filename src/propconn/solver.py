@@ -4,31 +4,32 @@ These solvers are the ground truth against which every closed-form value in
 the package is checked, so they favor exhaustive-but-pruned strategies over
 heuristics.
 
-Vertex side: the optimum adds up over components, so each component of
-order k > tau is searched on its own, by one branch and bound that decides
-keep or remove for its vertices in label order, remove first
-(``_kept_mask``).  It starts from removing the lowest k - tau vertices,
-which always works, and takes an incumbent only on a strict gain, so the
-first optimum it reaches is the lexicographically first minimum set.  The
-prunes: a kept part of order tau forces its undecided neighbours out; a
-node whose kept and undecided vertices form a failure state is the best
-leaf below it; a node that cannot keep more than the incumbent is cut; and
+Both optima add up over components, so one driver (``_solve_components``)
+solves each component of order k > tau on its own and merges the
+per-component lexicographically first sets.  It rejects a component larger
+than MAX_VERTEX_SOLVER_VERTICES or MAX_EDGE_SOLVER_VERTICES up front.
+
+Vertex side: one branch and bound decides keep or remove for the
+component's vertices in label order, remove first (``_kept_mask``).  It
+starts from removing the lowest k - tau vertices, which always works, and
+takes an incumbent only on a strict gain, so the first optimum it reaches
+is the lexicographically first minimum set.  The prunes: a kept part of
+order tau forces its undecided neighbours out; a node whose kept and
+undecided vertices form a failure state is the best leaf below it; a node
+that cannot keep more than the incumbent is cut, also when counting what
+the kept part a vertex joins must shed among its undecided neighbours; and
 once only one more removal can gain, just the vertices lying in every
-oversized connected set found so far are tried.  Components larger than
-MAX_VERTEX_SOLVER_VERTICES are rejected up front.
+oversized connected set found so far are tried.
 
 Edge side: a minimum edge disconnecting set is exactly the set of edges
 crossing an optimal partition of the vertices into parts of order at most
 tau (removing an edge internal to a surviving component would contradict
-minimality).  Components of order at most tau need no cut, and the optimum
-adds up over components, so each oversized component is solved on its own
-by one dynamic program over its connected parts of order at most tau
-(``_best_partition_score``), whose work shrinks with tau.  The DP
-maximizes lex scores: its optimum keeps the most edges inside parts and,
-among those partitions, cuts the lexicographically first minimum set,
+minimality).  One dynamic program over the component's connected parts of
+order at most tau (``_best_partition_score``), whose work shrinks with
+tau, maximizes lex scores: its optimum keeps the most edges inside parts
+and, among those partitions, cuts the lexicographically first minimum set,
 which is decoded from the optimal score alone.  That one pass gives both
-the value and the lex-first set.  Components larger than
-MAX_EDGE_SOLVER_VERTICES are rejected up front.
+the value and the lex-first set.
 """
 
 from dataclasses import dataclass
@@ -36,12 +37,13 @@ from fractions import Fraction
 
 from .graph import Graph, Threshold, MAX_VERTICES
 
-# Largest component order the vertex search accepts.  Its time peaks at
-# mid tau and grows about 2x per vertex; on a 2-vCPU CPython 3.11 machine
-# the slowest tau took 5.8 s at k = 25, 23 s at k = 27, 45 s at k = 28 and
-# 84 s at k = 29 for a connected G(k, 1/2), and 5.5 / 22 / 47 s at
-# k = 25 / 27 / 28 for K_{k/2, k/2}.
-MAX_VERTEX_SOLVER_VERTICES = 28
+# Largest component order the vertex search accepts: the largest k whose
+# slowest measured case stays under a minute.  Time peaks at mid tau and
+# grows about 1.5-1.8x per vertex there; on a 2-vCPU CPython 3.11 machine
+# the slowest tau took 13 / 26 / 31 s at k = 36 / 38 / 39 and 64 s at
+# k = 40 for K_{k/2, k/2}, 18 / 40 / 34 s at k = 36 / 38 / 39 for one
+# connected G(k, 0.3) per k, and at most 8.8 s for a connected G(k, 1/2).
+MAX_VERTEX_SOLVER_VERTICES = 39
 
 # Largest component order the edge DP accepts.  A component of order k
 # needs a table of 2^k scores, and at mid to high tau its time grows about
@@ -55,9 +57,13 @@ MAX_EDGE_SOLVER_VERTICES = 18
 class VertexSolverLimitError(ValueError):
     """A component the vertex solver must split is too large to finish."""
 
+    solver = "vertex"
+
 
 class EdgeSolverLimitError(ValueError):
     """A component the edge solver must split is too large to finish."""
+
+    solver = "edge"
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,27 @@ def _check_solver_input(g: Graph) -> None:
         raise ValueError(f"graph order {g.n} exceeds solver bound {MAX_VERTICES}")
 
 
-def _oversized_masks(g: Graph, tau: int) -> list[int]:
-    return [m for m in g.component_masks() if m.bit_count() > tau]
+def _solve_components(g: Graph, tau: int, bound: int, error: type, solve):
+    """The sorted union of solve(comp) over the vertex masks comp of the
+    components of g of order > tau, where solve returns the
+    lexicographically first minimum set of its component.
+
+    Every minimum set of g is a union of per-component minimum sets.  For
+    equal-size sets, A sorts before B exactly when min(A ^ B) lies in A,
+    and A ^ B splits by component, so the union of the per-component
+    lex-first sets is the lex-first set of g.  Raises ``error`` before any
+    solve when an oversized component is larger than bound.
+    """
+    oversized = [m for m in g.component_masks() if m.bit_count() > tau]
+    largest = max(map(int.bit_count, oversized), default=0)
+    if largest > bound:
+        raise error(f"component of order {largest} exceeds the "
+                    f"{error.solver} solver bound {bound}")
+    chosen = []
+    for comp in oversized:
+        chosen.extend(solve(comp))
+    chosen.sort()
+    return chosen
 
 
 def _kept_mask(g: Graph, comp: int, tau: int) -> int:
@@ -164,43 +189,38 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
             if not witness & undecided:
                 return  # keeping bit would keep the whole witness
             row = rows[bit.bit_length() - 1]
-            if kept.bit_count() < tau - 1:
-                # bit's part stays under tau; it holds bit and its kept
-                # neighbours, and its undecided neighbours must fit beside
-                order = 1 + (row & kept).bit_count()
-                out = row & undecided
-            else:
-                part = bit | (row & kept)
-                todo = part ^ bit
-                around = row
-                while todo:
-                    v = todo.bit_length() - 1
-                    around |= rows[v]
-                    new = rows[v] & kept & ~part
-                    part |= new
-                    todo ^= 1 << v | new
-                order = part.bit_count()
-                if order > tau:
+            part = bit | (row & kept)
+            todo = part ^ bit
+            around = row
+            while todo:
+                v = todo.bit_length() - 1
+                around |= rows[v]
+                new = rows[v] & kept & ~part
+                part |= new
+                todo ^= 1 << v | new
+            order = part.bit_count()
+            if order > tau:
+                return
+            out = around & undecided
+            if order == tau:
+                # A full part: its undecided neighbours must go.
+                size -= out.bit_count()
+                if size <= best:
                     return
-                out = around & undecided
-                if order == tau:
-                    # A full part: its undecided neighbours must go.
-                    size -= out.bit_count()
-                    if size <= best:
+                kept ^= part ^ bit
+                closed |= part
+                undecided ^= out
+                if witness & out:
+                    found = oversized(kept | undecided)
+                    if found is None:
+                        best, best_kept = size, kept | undecided | closed
                         return
-                    kept ^= part ^ bit
-                    closed |= part
-                    undecided ^= out
-                    if witness & out:
-                        found = oversized(kept | undecided)
-                        if found is None:
-                            best, best_kept = size, kept | undecided | closed
-                            return
-                        witness, core = found
-                    else:
-                        core = witness
-                    continue
-            # At most tau - order of the undecided neighbours can be kept.
+                    witness, core = found
+                else:
+                    core = witness
+                continue
+            # At most tau - order of the part's undecided neighbours can be
+            # kept.
             if size - out.bit_count() + tau - order <= best:
                 return
             kept |= bit
@@ -213,26 +233,21 @@ def _min_vertex_set(g: Graph, tau: int) -> list[int]:
     """The lexicographically first minimum vertex set whose removal leaves
     no component of order > tau, as sorted labels.
 
-    Each oversized component is solved on its own by ``_kept_mask``.  For
-    equal-size sets, A sorts before B exactly when min(A ^ B) lies in A,
-    and A ^ B splits by component, so the union of the per-component
-    lex-first sets is the lex-first set of the whole graph.  Raises
-    VertexSolverLimitError before any search when an oversized component
-    is larger than MAX_VERTEX_SOLVER_VERTICES.
+    Each oversized component is solved on its own by ``_kept_mask`` (see
+    ``_solve_components``).  Raises VertexSolverLimitError before any
+    search when an oversized component is larger than
+    MAX_VERTEX_SOLVER_VERTICES.
     """
     if tau <= 0:
         # Any surviving vertex is a component of order 1 > 0.
         return list(range(g.n))
-    oversized = _oversized_masks(g, tau)
-    largest = max((mask.bit_count() for mask in oversized), default=0)
-    if largest > MAX_VERTEX_SOLVER_VERTICES:
-        raise VertexSolverLimitError(
-            f"component of order {largest} exceeds the vertex solver bound "
-            f"{MAX_VERTEX_SOLVER_VERTICES}")
-    removed = 0
-    for comp in oversized:
-        removed |= comp ^ _kept_mask(g, comp, tau)
-    return [v for v in range(g.n) if removed >> v & 1]
+
+    def removed(comp):
+        out = comp ^ _kept_mask(g, comp, tau)
+        return [v for v in range(g.n) if out >> v & 1]
+
+    return _solve_components(g, tau, MAX_VERTEX_SOLVER_VERTICES,
+                             VertexSolverLimitError, removed)
 
 
 def copvc_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
@@ -323,38 +338,23 @@ def _lex_first_cut(h: Graph, tau: int) -> list[tuple[int, int]]:
     return [e for i, e in enumerate(edges) if not mask & (top >> (i + 1))]
 
 
-def _oversized_components(g: Graph, tau: int) -> list[tuple[Graph, list[int]]]:
-    """Each component of order > tau as a graph on 0..k-1 with its original
-    labels.  Rejects inputs over the edge solver's limit before any table
-    is built."""
-    oversized = _oversized_masks(g, tau)
-    largest = max((mask.bit_count() for mask in oversized), default=0)
-    if largest > MAX_EDGE_SOLVER_VERTICES:
-        raise EdgeSolverLimitError(
-            f"component of order {largest} exceeds the edge solver bound "
-            f"{MAX_EDGE_SOLVER_VERTICES}")
-    out = []
-    for mask in oversized:
-        labels = [v for v in range(g.n) if mask >> v & 1]
-        out.append((g._relabel(labels), labels))
-    return out
-
-
 def _min_edge_set(g: Graph, tau: int) -> list[tuple[int, int]]:
     """The lexicographically first minimum edge set whose removal leaves
     no component of order > tau (tau >= 1), as sorted (u, v) pairs.
 
-    Each oversized component is cut on its own by ``_lex_first_cut``, and
-    the cut is mapped back to the original labels.  Every minimum set is a
-    union of per-component minimum cuts; for equal-size sets, A sorts
-    before B exactly when min(A ^ B) lies in A, and A ^ B splits by
-    component, so the union of the lex-first cuts is the lex-first set.
+    Each oversized component is cut on its own by ``_lex_first_cut`` on a
+    copy labelled 0..k-1, and the cut is mapped back to the original labels
+    (see ``_solve_components``).  Raises EdgeSolverLimitError before any
+    table is built when an oversized component is larger than
+    MAX_EDGE_SOLVER_VERTICES.
     """
-    chosen = []
-    for h, labels in _oversized_components(g, tau):
-        chosen.extend((labels[u], labels[v]) for u, v in _lex_first_cut(h, tau))
-    chosen.sort()
-    return chosen
+    def cut(comp):
+        labels = [v for v in range(g.n) if comp >> v & 1]
+        h = g._relabel(labels)
+        return [(labels[u], labels[v]) for u, v in _lex_first_cut(h, tau)]
+
+    return _solve_components(g, tau, MAX_EDGE_SOLVER_VERTICES,
+                             EdgeSolverLimitError, cut)
 
 
 def copec_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
@@ -395,11 +395,11 @@ def verify_witness(g: Graph, r: Fraction, w: DisconnectingWitness) -> bool:
     """Check a witness from first principles, independent of the search:
     remove the elements and test every surviving component against
     floor(r * |g|)."""
-    tau = (r.numerator * g.n) // r.denominator
     if w.kind == "vertex":
         h = g.remove_vertices(w.elements)
     elif w.kind == "edge":
         h = g.remove_edges(w.elements)
     else:
         raise ValueError(f"unknown witness kind {w.kind!r}")
-    return all(order <= tau for order in h.components().orders)
+    # Threshold.for_order would reject the empty graph, which is failed.
+    return h.is_failure_state((r.numerator * g.n) // r.denominator)

@@ -12,10 +12,10 @@ from propconn.graph import Graph, Threshold
 def brute_lex_first_vertex_set(g: Graph, r) -> tuple:
     """The first disconnecting subset in combinations(range(g.n), k) at the
     minimum k."""
-    t = Threshold.for_order(r, g.n)
+    tau = Threshold.for_order(r, g.n).tau
     for k in range(g.n + 1):
         for subset in combinations(range(g.n), k):
-            if g.remove_vertices(subset).is_failure_state(t):
+            if g.remove_vertices(subset).is_failure_state(tau):
                 return subset
     raise AssertionError("removing all vertices always fails the graph")
 
@@ -42,7 +42,7 @@ def scan_min_vertex_set(g: Graph, tau: int) -> list[int]:
         removed |= next(
             (s for k in range(1, len(bits) - tau)
              for s in map(sum, combinations(bits, k))
-             if not g.has_component_over(tau, comp ^ s)),
+             if g.is_failure_state(tau, comp ^ s)),
             # Removing any len(bits) - tau vertices leaves only tau.
             sum(bits[:len(bits) - tau]))
     return [v for v in range(g.n) if removed >> v & 1]
@@ -51,11 +51,11 @@ def scan_min_vertex_set(g: Graph, tau: int) -> list[int]:
 def brute_lex_first_edge_set(g: Graph, r) -> tuple | None:
     """The first disconnecting subset in combinations(g.edges(), k) at the
     minimum k, or None when infeasible."""
-    t = Threshold.for_order(r, g.n)
+    tau = Threshold.for_order(r, g.n).tau
     edges = g.edges()
     for k in range(len(edges) + 1):
         for subset in combinations(edges, k):
-            if g.remove_edges(subset).is_failure_state(t):
+            if g.remove_edges(subset).is_failure_state(tau):
                 return subset
     return None
 

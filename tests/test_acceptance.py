@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from propconn.graph import Threshold, complete, complete_bipartite, cycle, path
+from propconn.graph import complete, complete_bipartite, cycle, path
 from propconn.solver import copec_exact, copvc_exact
 from propconn.formulas import (copec_complete, copec_cycle,
                                copec_cycle_arc_cover, copvc_complete,
@@ -139,16 +139,15 @@ def test_criterion_05_densest_failure_state_value():
             tau = _tau(r, n)
             if tau < 1:
                 continue
-            t = Threshold(tau, n, False)
             enumerated_best = max(
                 m for m in range(comb(n, 2) + 1)
-                for g in enumerate_gnm(n, m) if g.is_failure_state(t)
+                for g in enumerate_gnm(n, m) if g.is_failure_state(tau)
             )
             value = max_failure_edges(n, r)
             assert value == enumerated_best, (n, r, value, enumerated_best)
             built = build_max_failure_state(n, r)
             assert built.n == n and built.m == value
-            assert built.is_failure_state(t)
+            assert built.is_failure_state(tau)
             checked += 1
     _line(5, True, f"densest-failure-state value matches enumeration and "
                    f"the built witness attains it ({checked} instances)")

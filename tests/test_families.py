@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from propconn.graph import Threshold, complete
+from propconn.graph import complete
 from propconn.solver import copec_value, copvc_value
 from propconn.families import (PQDecomposition, build_max_failure_state,
                                coemax_tail, coemin,
@@ -46,19 +46,19 @@ def test_max_failure_edges_matches_enumerated_failure_states():
             tau = (r.numerator * n) // r.denominator
             if tau < 1:
                 continue
-            t = Threshold(tau, n, False)
             best = max(m for m in range(comb(n, 2) + 1)
-                       for g in enumerate_gnm(n, m) if g.is_failure_state(t))
+                       for g in enumerate_gnm(n, m) if g.is_failure_state(tau))
             assert max_failure_edges(n, r) == best
 
 
 def test_build_max_failure_state_shape():
     g = build_max_failure_state(7, HALF)
-    assert g.components().orders == (3, 3, 1)
+    assert sorted(c.bit_count() for c in g.component_masks()) == [1, 3, 3]
     assert g.m == max_failure_edges(7, HALF)
     assert build_max_failure_state(3, Fraction(1, 3)).m == 0
     g = build_max_failure_state(5, Fraction(2, 5))
-    assert g.components().orders == (2, 2, 1) and g.m == 2
+    assert sorted(c.bit_count() for c in g.component_masks()) == [1, 2, 2]
+    assert g.m == 2
 
 
 def test_covmin_threshold_values():

@@ -9,7 +9,7 @@ from propconn.formulas import (ClassSpec, copec_complete, copec_cycle,
                                copvc_complete, copvc_complete_bipartite,
                                copvc_cycle, copvc_cycle_original_order,
                                copvc_path, formula_vs_oracle)
-from propconn.solver import copec_exact, copvc_exact
+from propconn.solver import copec_exact, copvc_exact, copvc_value
 from propconn.graph import complete, complete_bipartite, cycle, path
 
 from conftest import STANDARD_GRID, proportions
@@ -107,6 +107,17 @@ def test_formulas_match_oracle_up_to_ten():
                 if (r.numerator * (a + b)) // r.denominator >= 1:
                     assert (copvc_complete_bipartite(a, b, r).value
                             == copvc_exact(complete_bipartite(a, b), r).cardinality)
+
+
+def test_complete_bipartite_vertex_formula_at_every_tau_of_order_24():
+    # Every K_{a, 24 - a} at every tau, far past the orders the brute-force
+    # oracles reach; K_{12,12} at tau = 12 is among the vertex search's
+    # hardest inputs of its order.
+    for a in range(1, 13):
+        g = complete_bipartite(a, 24 - a)
+        for tau in range(1, 24):
+            assert (copvc_value(g, tau) == copvc_complete_bipartite(
+                a, 24 - a, Fraction(tau, 24)).value), (a, tau)
 
 
 def test_formula_vs_oracle_entries():

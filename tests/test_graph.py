@@ -5,47 +5,52 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from propconn.graph import (Graph, ComponentSummary, Threshold, complete,
-                            complete_bipartite, cycle, disjoint_union,
-                            edgeless, parse_proportion, path, proportion)
+from propconn.graph import (Graph, Threshold, complete, complete_bipartite,
+                            cycle, disjoint_union, edgeless, parse_proportion,
+                            path, proportion)
 
 from conftest import graphs, proportions
 
 
+def orders(g):
+    """Component orders of g, largest first."""
+    return sorted((c.bit_count() for c in g.component_masks()), reverse=True)
+
+
 def test_components_connected_path():
-    assert path(4).components() == ComponentSummary((4,), 4)
+    assert orders(path(4)) == [4]
 
 
 def test_components_edgeless():
-    assert edgeless(3).components() == ComponentSummary((1, 1, 1), 1)
+    assert orders(edgeless(3)) == [1, 1, 1]
 
 
 def test_components_union():
     g = disjoint_union(complete(3), complete(2))
     assert g.n == 5 and g.m == 4
-    assert g.components() == ComponentSummary((3, 2), 3)
+    assert orders(g) == [3, 2]
 
 
 def test_failure_state_union_counterexample():
     g = disjoint_union(complete(3), complete(2))
     t = Threshold.for_order(Fraction(1, 2), 5)
     assert t.tau == 2
-    assert not g.is_failure_state(t)
+    assert not g.is_failure_state(t.tau)
 
 
 def test_failure_state_empty_graph_vacuous():
     t = Threshold.for_order(Fraction(1, 2), 5)
-    assert edgeless(0).is_failure_state(t)
+    assert edgeless(0).is_failure_state(t.tau)
 
 
 def test_failure_state_edgeless_quarter():
     t = Threshold.for_order(Fraction(1, 4), 4)
     assert t.tau == 1
-    assert edgeless(4).is_failure_state(t)
+    assert edgeless(4).is_failure_state(t.tau)
 
 
 def test_remove_middle_path_vertex():
-    assert path(4).remove_vertices([1]).components().orders == (2, 1)
+    assert orders(path(4).remove_vertices([1])) == [2, 1]
 
 
 def test_remove_no_vertices_is_identity():
@@ -64,7 +69,7 @@ def test_remove_vertex_out_of_range():
 
 def test_cycle_minus_edge_is_path():
     g = cycle(4).remove_edges([(3, 0)])
-    assert sorted(g.components().orders) == [4] and g.m == 3
+    assert orders(g) == [4] and g.m == 3
 
 
 def test_remove_no_edges_is_identity():
@@ -89,7 +94,7 @@ def test_complement_c5_self_complementary():
     # complement of the 5-cycle is again a 5-cycle on the same vertices
     g = cycle(5).complement()
     assert g.m == 5 and all(g.degree(v) == 2 for v in range(5))
-    assert g.is_connected()
+    assert len(g.component_masks()) == 1
 
 
 @given(graphs())
@@ -101,26 +106,25 @@ def test_complement_involution(g):
 def test_failure_monotone_under_edge_removal(g, r):
     if g.n == 0:
         return
-    t = Threshold.for_order(r, g.n)
-    if not g.is_failure_state(t):
+    tau = Threshold.for_order(r, g.n).tau
+    if not g.is_failure_state(tau):
         return
     edges = g.edges()
-    assert g.remove_edges(edges[: len(edges) // 2]).is_failure_state(t)
+    assert g.remove_edges(edges[: len(edges) // 2]).is_failure_state(tau)
 
 
 @given(graphs(min_n=1), proportions())
 def test_tau_at_least_order_means_failure(g, r):
-    t = Threshold(tau=g.n, n_original=g.n, rn_is_integer=False)
-    assert g.is_failure_state(t)
+    assert g.is_failure_state(g.n)
 
 
 @given(graphs(), st.data())
 def test_component_orders_sum_and_removal(g, data):
-    assert sum(g.components().orders) == g.n
+    assert sum(orders(g)) == g.n
     if g.n:
         k = data.draw(st.integers(0, g.n))
         dropped = data.draw(st.permutations(range(g.n)))[:k]
-        assert sum(g.remove_vertices(dropped).components().orders) == g.n - k
+        assert sum(orders(g.remove_vertices(dropped))) == g.n - k
 
 
 @given(graphs(), st.data())
@@ -143,8 +147,8 @@ def test_growth_within_mask_matches_networkx(g, data):
                 assert capped & ~comp == 0
                 assert (capped.bit_count() > cap) == (comp.bit_count() > cap)
     for cap in caps:
-        assert g.has_component_over(cap, within) == any(
-            comp.bit_count() > cap for comp in expected)
+        assert g.is_failure_state(cap, within) == all(
+            comp.bit_count() <= cap for comp in expected)
 
 
 @given(st.integers(2, 10 ** 4), st.data())
@@ -155,7 +159,6 @@ def test_threshold_exactness(den, data):
     t = Threshold.for_order(r, n)
     assert t.tau == math.floor(r * n)
     assert 0 <= t.tau < n
-    assert t.rn_is_integer == (r * n == t.tau)
 
 
 def test_proportion_validation():

@@ -296,12 +296,14 @@ def test_vertex_solver_limit_is_pinned():
     # The bound is measured (README, Limits): the largest order whose
     # slowest tau stays under a minute.  Changing the search means
     # measuring it again.
-    assert MAX_VERTEX_SOLVER_VERTICES == 28
-    # Only components the search must split count: a 40-vertex graph of
-    # small parts is solved, and so is the largest accepted order.
+    assert MAX_VERTEX_SOLVER_VERTICES == 39
+    # Only components the search must split count: a graph of small parts
+    # larger than the bound is solved, and so is the largest accepted order.
     k5s = disjoint_union(*[complete(5)] * 8)
+    assert k5s.n > MAX_VERTEX_SOLVER_VERTICES
     assert copvc_value(k5s, 3) == 8 * 2
-    assert copvc_value(path(MAX_VERTEX_SOLVER_VERTICES), 1) == 14
+    assert (copvc_value(path(MAX_VERTEX_SOLVER_VERTICES), 1)
+            == MAX_VERTEX_SOLVER_VERTICES // 2)
     assert copvc_exact(disjoint_union(path(40), edgeless(2)),
                        Fraction(40, 42)).cardinality == 0
 
