@@ -17,9 +17,7 @@ is the lexicographically first minimum set.  The prunes: a kept part of
 order tau forces its undecided neighbours out; a node whose kept and
 undecided vertices form a failure state is the best leaf below it; a node
 that cannot keep more than the incumbent is cut, also when counting what
-the kept part a vertex joins must shed among its undecided neighbours; and
-once only one more removal can gain, just the vertices lying in every
-oversized connected set found so far are tried.
+the kept part a vertex joins must shed among its undecided neighbours.
 
 Edge side: a minimum edge disconnecting set is exactly the set of edges
 crossing an optimal partition of the vertices into parts of order at most
@@ -38,11 +36,11 @@ from fractions import Fraction
 from .graph import Graph, Threshold, MAX_VERTICES
 
 # Largest component order the vertex search accepts: the largest k whose
-# slowest measured case stays under a minute.  Time peaks at mid tau and
-# grows about 1.5-1.8x per vertex there; on a 2-vCPU CPython 3.11 machine
-# the slowest tau took 13 / 26 / 31 s at k = 36 / 38 / 39 and 64 s at
-# k = 40 for K_{k/2, k/2}, 18 / 40 / 34 s at k = 36 / 38 / 39 for one
-# connected G(k, 0.3) per k, and at most 8.8 s for a connected G(k, 1/2).
+# slowest measured case stays under a minute.  Time peaks at mid tau; on a
+# 2-vCPU CPython 3.11 machine the slowest tau took 20 / 40 / 46 s at
+# k = 39 / 40 / 41 for K_{k/2, k/2}, 15 s at k = 39 and 57-67 s at k = 40
+# for one connected G(k, 0.3) per k, and at most 6.8 s for a connected
+# G(k, 1/2).
 MAX_VERTEX_SOLVER_VERTICES = 39
 
 # Largest component order the edge DP accepts.  A component of order k
@@ -125,13 +123,11 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
 
     def oversized(live):
         """None when every component of the vertex mask ``live`` has order
-        <= tau.  Otherwise (witness, core): witness is a connected set of
-        tau + 1 vertices of live, grown from the highest vertex of its
-        component by adding the new neighbours of one member at a time,
-        highest member first, and cut inside the last batch, keeping that
-        batch's highest vertices; core is witness less that batch when the
-        batch had vertices to spare (any of them completes the set), so
-        every vertex of live outside core misses some oversized set."""
+        <= tau.  Otherwise a witness: a connected set of tau + 1 vertices
+        of live, grown from the highest vertex of its component by adding
+        the new neighbours of one member at a time, highest member first,
+        and cut inside the last batch, keeping that batch's highest
+        vertices."""
         remaining = live
         while remaining.bit_count() > tau:
             part = todo = 1 << (remaining.bit_length() - 1)
@@ -139,12 +135,10 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
                 v = todo.bit_length() - 1
                 new = rows[v] & live & ~part
                 spare = (part | new).bit_count() - tau - 1
-                if spare > 0:
+                if spare >= 0:
                     for _ in range(spare):
                         new &= new - 1
-                    return part | new, part
-                if not spare:
-                    return part | new, part | new
+                    return part | new
                 part |= new
                 todo ^= 1 << v | new
             remaining ^= part
@@ -155,27 +149,12 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
     for _ in range(comp.bit_count() - tau):
         best_kept &= best_kept - 1
 
-    def search(kept, undecided, closed, size, witness, core):
+    def search(kept, undecided, closed, size, witness):
         # live = kept | undecided holds the witness, so it is no failure
-        # state, and every vertex of live outside core misses some
-        # oversized set of live.  closed holds the kept parts of order
-        # tau, whose undecided neighbours are gone; kept holds the others.
+        # state.  closed holds the kept parts of order tau, whose
+        # undecided neighbours are gone; kept holds the others.
         nonlocal best, best_kept
         while size - 1 > best:
-            if size - 2 <= best:
-                # Only one more removal can gain: the lowest undecided
-                # vertex whose removal leaves a failure state.  It lies in
-                # every oversized set, so only the core's are tried.
-                live = kept | undecided
-                hit = core & undecided
-                while hit:
-                    bit = hit & -hit
-                    found = oversized(live ^ bit)
-                    if found is None:
-                        best, best_kept = size - 1, live ^ bit | closed
-                        return
-                    hit &= found[1]
-                return
             bit = undecided & -undecided
             undecided ^= bit
             if witness & bit:
@@ -183,11 +162,9 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
                 if found is None:
                     best, best_kept = size - 1, kept | undecided | closed
                 elif size - 2 > best:
-                    search(kept, undecided, closed, size - 1, *found)
+                    search(kept, undecided, closed, size - 1, found)
             elif size - 2 > best:
-                search(kept, undecided, closed, size - 1, witness, witness)
-            if not witness & undecided:
-                return  # keeping bit would keep the whole witness
+                search(kept, undecided, closed, size - 1, witness)
             row = rows[bit.bit_length() - 1]
             part = bit | (row & kept)
             todo = part ^ bit
@@ -211,13 +188,10 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
                 closed |= part
                 undecided ^= out
                 if witness & out:
-                    found = oversized(kept | undecided)
-                    if found is None:
+                    witness = oversized(kept | undecided)
+                    if witness is None:
                         best, best_kept = size, kept | undecided | closed
                         return
-                    witness, core = found
-                else:
-                    core = witness
                 continue
             # At most tau - order of the part's undecided neighbours can be
             # kept.
@@ -225,7 +199,7 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
                 return
             kept |= bit
 
-    search(0, comp, 0, comp.bit_count(), comp, comp)
+    search(0, comp, 0, comp.bit_count(), comp)
     return best_kept
 
 

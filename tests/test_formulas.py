@@ -109,15 +109,21 @@ def test_formulas_match_oracle_up_to_ten():
                             == copvc_exact(complete_bipartite(a, b), r).cardinality)
 
 
-def test_complete_bipartite_vertex_formula_at_every_tau_of_order_24():
-    # Every K_{a, 24 - a} at every tau, far past the orders the brute-force
-    # oracles reach; K_{12,12} at tau = 12 is among the vertex search's
-    # hardest inputs of its order.
+def test_vertex_closed_forms_at_every_tau_past_the_oracles():
+    # Closed forms at orders the brute-force oracles cannot reach.  Every
+    # K_{a, 24 - a} at every tau: K_{12,12} at tau = 12 is among the vertex
+    # search's hardest inputs of its order.  P30 and C30 at every tau:
+    # removals split them into many small live pieces.
     for a in range(1, 13):
         g = complete_bipartite(a, 24 - a)
         for tau in range(1, 24):
             assert (copvc_value(g, tau) == copvc_complete_bipartite(
                 a, 24 - a, Fraction(tau, 24)).value), (a, tau)
+    for tau in range(1, 30):
+        r = Fraction(tau, 30)
+        assert copvc_value(path(30), tau) == copvc_path(30, r).value, tau
+        assert (copvc_value(cycle(30), tau)
+                == copvc_cycle_original_order(30, r).value), tau
 
 
 def test_formula_vs_oracle_entries():
