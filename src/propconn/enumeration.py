@@ -7,8 +7,12 @@ prefix of the ordering leaves each unplaced vertex a next column (its
 adjacency bits to the placed vertices), and the search keeps, level by
 level, only the prefixes whose columns so far are minimal.  Prefixes that
 leave the same vertices with the same next columns have identical futures,
-so each such state is kept once; this returns exactly the global minimum
-without touching most of the n! orderings.
+so each such state is kept once.  Twins u < w, whose neighbourhoods agree
+apart from each other, can trade places in any ordering without changing
+its key, so the search places each twin class in label order only: a
+state holds the lowest unplaced member of each class, not the whole class.
+This returns exactly the global minimum without touching most of the n!
+orderings.
 
 Graphs with n vertices and m edges are generated by orderly generation
 (Read, "Every one a winner", 1978) on that key.  If c is the canonical key
@@ -28,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .graph import Graph, Threshold, complete, edgeless
+from .graph import Graph, Threshold, complete
 from .solver import copvc_value, copec_value
 
 MAX_ENUM_VERTICES = 8
@@ -37,27 +41,50 @@ MAX_ENUM_VERTICES = 8
 # states than a depth-first search over the same minimal-column prefixes
 # visits prefixes, and that search's worst case, the n! tied orderings of
 # the edgeless and complete graphs, took 26-27 s at n = 10 on a 2-vCPU
-# CPython 3.11 machine.  On the same machine the level search took at most
-# about 0.09 s (4K2 + 2K1) over a sweep of 206 graphs at n = 10, and
-# 0.014 s on the edgeless graph; the bound waits for a proven worst case.
+# CPython 3.11 machine.  On the same machine, at n = 10, the level search
+# took 0.1 ms or less on those two graphs, whose vertices are all twins,
+# and 1-4 ms on 4K2 + 2K1, 3K2 + 4K1, 5K2 and the Petersen graph.  The
+# slowest named graphs are twin-free: P10 and 2C5, 5-9 ms.  Over 206 seeded
+# random graphs at n = 10 the slowest, sparse ones took about 0.02 s.  The
+# bound waits for a proven worst case.
 MAX_CANONICAL_VERTICES = 10
 
 
 def _canonical_order(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Vertex ordering minimizing the column-major upper-triangle bitstring."""
-    # A state pairs each unplaced vertex with its next column; equal states
+    # A state pairs unplaced vertices with their next columns; equal states
     # have identical futures, so each is kept once, with the first ordering
-    # that reaches it.
-    frontier = {tuple((v, 0) for v in range(n)): ()}
+    # that reaches it.  Twins u < w (N(u) - {w} = N(w) - {u}) can swap in
+    # any ordering without changing its key, so each twin class is placed
+    # in label order: a state holds only the lowest unplaced member of each
+    # class, and placing it hands its slot to its next-higher twin.
+    # Unplaced twins share their next column, so the slot's column serves
+    # the whole class.
+    higher = [None] * n
+    last = {}
+    for v in range(n):
+        # open neighbourhoods group non-adjacent twins, closed ones adjacent
+        # twins; no open neighbourhood equals a closed one, and no vertex
+        # has twins of both kinds
+        for nbhd in (rows[v], rows[v] | 1 << v):
+            if nbhd in last:
+                higher[last[nbhd]] = v
+            last[nbhd] = v
+    frontier = {tuple((v, 0) for v in range(n) if v not in higher): ()}
     for _ in range(n):
         mn = min(c for state in frontier for _, c in state)
         children = {}
         for state, order in frontier.items():
             for v, c in state:
                 if c == mn:
-                    row = rows[v]
-                    child = tuple((u, cu << 1 | row >> u & 1)
-                                  for u, cu in state if u != v)
+                    row, w = rows[v], higher[v]
+                    if w is None:
+                        child = tuple((u, cu << 1 | row >> u & 1)
+                                      for u, cu in state if u != v)
+                    else:
+                        child = tuple((u, cu << 1 | row >> u & 1) if u != v
+                                      else (w, c << 1 | row >> w & 1)
+                                      for u, cu in state)
                     children.setdefault(child, order + (v,))
         frontier = children
     return frontier[()]
@@ -88,9 +115,7 @@ def canonical_key(g: Graph) -> int:
     return upper_triangle_key(canonical_graph(g))
 
 
-# n -> {m: key-sorted canonical graphs of G(n, m)}, filled on demand.  The
-# edgeless seed spares level 0 a canonical search of the complement of K_n,
-# whose ties keep C(n, k) states at level k of the search.
+# n -> {m: key-sorted canonical graphs of G(n, m)}, filled on demand.
 _LEVELS: dict[int, dict[int, list[Graph]]] = {}
 
 
@@ -101,7 +126,7 @@ def _level(n: int, m: int) -> list[Graph]:
     if not 0 <= m <= top:
         raise ValueError(f"m={m} out of range for n={n}")
     if n not in _LEVELS:
-        _LEVELS[n] = {0: [edgeless(n)], top: [complete(n)]}
+        _LEVELS[n] = {top: [complete(n)]}
     levels = _LEVELS[n]
     if m not in levels:
         if 2 * m < top:

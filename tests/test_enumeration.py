@@ -49,7 +49,7 @@ def test_level_counts_match_labeled_brute_force():
 
 
 def test_total_class_counts():
-    # n = 8 enumerates all of G(8, .), about 7 s from a cold cache.
+    # n = 8 enumerates all of G(8, .), about 5 s from a cold cache.
     for n, total in TOTAL_CLASSES.items():
         counts = [count_classes(n, m) for m in range(comb(n, 2) + 1)]
         assert sum(counts) == total
@@ -195,3 +195,56 @@ def test_canonical_graph_is_relabeling_invariant_at_bound():
         assert cg.n == g.n and cg.m == g.m
         for _ in range(3):
             assert canonical_graph(_relabeled(g, rng)) == cg, g
+
+
+def _complete_multipartite(*sizes):
+    return disjoint_union(*map(complete, sizes)).complement()
+
+
+def _blow_up(h, sizes, adjacent):
+    """h with vertex i replaced by a class of sizes[i] twins, adjacent to
+    each other when ``adjacent``; classes of h-neighbours are joined."""
+    start = [sum(sizes[:i]) for i in range(h.n)]
+    classes = [range(start[i], start[i] + sizes[i]) for i in range(h.n)]
+    edges = [(u, w) for i, j in h.edges() for u in classes[i]
+             for w in classes[j]]
+    if adjacent:
+        edges += [(u, w) for c in classes for u in c for w in c if u < w]
+    return Graph(sum(sizes), edges)
+
+
+def _twin_heavy(n):
+    """Graphs on n = 6, 7, 9 or 10 vertices whose vertices fall into large
+    classes of adjacent or non-adjacent twins."""
+    blown = {6: (2, 2, 2), 7: (2, 3, 2), 9: (2, 3, 2, 2), 10: (3, 2, 2, 3)}
+    family = [complete_bipartite(1, n - 1),
+              disjoint_union(complete(3), edgeless(n - 3)),
+              disjoint_union(complete(4), complete(2), edgeless(n - 6)),
+              disjoint_union(edgeless(2), complete(n - 2)).complement(),
+              _blow_up(path(len(blown[n])), blown[n], adjacent=False),
+              _blow_up(path(len(blown[n])), blown[n], adjacent=True)]
+    family += {6: [_complete_multipartite(1, 2, 3)],
+               7: [_complete_multipartite(2, 2, 3)],
+               9: [_complete_multipartite(2, 3, 4),
+                   _complete_multipartite(3, 3, 3)],
+               10: [_complete_multipartite(1, 2, 3, 4),
+                    _blow_up(cycle(5), (2,) * 5, adjacent=False),
+                    _blow_up(cycle(5), (2,) * 5, adjacent=True)]}[n]
+    return family
+
+
+def test_canonical_forms_of_twin_heavy_graphs():
+    # The search places each twin class in label order only; these graphs
+    # make that rule prune most of the tied orderings.
+    rng = random.Random(16)
+    for n in (6, 7):
+        for g in _twin_heavy(n):
+            key = brute_canonical_key(g)
+            for _ in range(3):
+                assert canonical_key(_relabeled(g, rng)) == key, (n, g)
+    for n in (9, 10):
+        for g in _twin_heavy(n):
+            cg = canonical_graph(g)
+            assert cg.n == g.n and cg.m == g.m
+            for _ in range(3):
+                assert canonical_graph(_relabeled(g, rng)) == cg, (n, g)
