@@ -202,9 +202,13 @@ def _cmd_scan(args) -> int:
     n, r, stat = args.n, args.r, args.stat
     rows = []
     code = EXIT_OK
-    for m in range(comb(n, 2) + 1):
-        value, method, witness, truth, mismatch, m_code = _stat_value(
-            stat, n, m, r, args.enumerate_)
+    # Solved from m = C(n, 2) down, so that enumerated edge values inherit
+    # from their parents' cuts (see enumeration.family_profile); reported
+    # in ascending m.
+    ms = range(comb(n, 2) + 1)
+    results = [_stat_value(stat, n, m, r, args.enumerate_) for m in reversed(ms)]
+    for m, (value, method, witness, truth, mismatch, m_code) in zip(
+            ms, reversed(results)):
         if mismatch:
             print(f"mismatch at m={m}: formula {value}, "
                   f"enumeration {truth.value}", file=sys.stderr)
@@ -311,11 +315,13 @@ def _verdict_payload(v) -> dict:
 def _cmd_conjecture(args) -> int:
     n = args.n
     ms = range(comb(n, 2) + 1) if args.all_m else [args.m]
+    # Checked from the top level down, as in _cmd_scan; reported ascending.
     if args.name == "equal-partition":
-        verdicts = [check_equal_partition_conjecture(n, m, args.k) for m in ms]
+        verdicts = [check_equal_partition_conjecture(n, m, args.k)
+                    for m in reversed(ms)]
     else:
-        verdicts = [check_coemax_upper_bound(n, m) for m in ms]
-    print(dump_report([_verdict_payload(v) for v in verdicts]))
+        verdicts = [check_coemax_upper_bound(n, m) for m in reversed(ms)]
+    print(dump_report([_verdict_payload(v) for v in reversed(verdicts)]))
     return EXIT_OK
 
 

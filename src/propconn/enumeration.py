@@ -25,6 +25,15 @@ canonical key is k - 2^p.  Each class is then reached once, from its
 parent, already in canonical labeling.  Levels below C(n,2)/2 are the
 complements of the levels above it, one canonical search per class.
 Levels are cached per n for the lifetime of the process.
+
+``family_profile`` gives the exact vertex and edge values of every class
+of a level, solving each measure only when it is read.  Edge values are
+inherited along the same parent relation: G is its parent P minus one
+pair e, in the same labels, and when a minimum cut C of P holds e, C - e
+is a minimum cut of G (see ``family_profile``).  So a sweep that asks for
+the levels from C(n,2) down solves only the classes whose parent's cut
+misses e; a value is exact by either route, so the request order changes
+only how many classes are solved.
 """
 
 from dataclasses import dataclass
@@ -33,7 +42,7 @@ from functools import lru_cache
 from math import comb
 
 from .graph import Graph, Threshold, complete
-from .solver import copvc_value, copec_value
+from .solver import copvc_value, copec_exact
 
 MAX_ENUM_VERTICES = 8
 
@@ -115,6 +124,13 @@ def canonical_key(g: Graph) -> int:
     return upper_triangle_key(canonical_graph(g))
 
 
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """pairs[p] is the vertex pair at bit p of an n-vertex key."""
+    return tuple((i, j) for j in range(n - 1, 0, -1)
+                 for i in range(j - 1, -1, -1))
+
+
 # n -> {m: key-sorted canonical graphs of G(n, m)}, filled on demand.
 _LEVELS: dict[int, dict[int, list[Graph]]] = {}
 
@@ -133,9 +149,7 @@ def _level(n: int, m: int) -> list[Graph]:
             found = [canonical_graph(g.complement())
                      for g in _level(n, top - m)]
         else:
-            # pairs[p] is the vertex pair at bit p of the key
-            pairs = [(i, j) for j in range(n - 1, 0, -1)
-                     for i in range(j - 1, -1, -1)]
+            pairs = _pairs(n)
             found = []
             for parent in _level(n, m + 1):
                 key = upper_triangle_key(parent)
@@ -159,9 +173,20 @@ def count_classes(n: int, m: int) -> int:
     return len(_level(n, m))
 
 
+# (n, m, tau) -> values of the classes of G(n, m), in enumerate_gnm order.
+_VERTEX_VALUES: dict[tuple[int, int, int], tuple[int, ...]] = {}
+_EDGE_VALUES: dict[tuple[int, int, int], tuple[int, ...]] = {}
+# (n, tau) -> (m, {canonical key: minimum cut}) for the last level of
+# G(n, .) whose edge values were solved at tau; a cut is a mask over key
+# bits.
+_CUTS: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
+
+
 @dataclass(frozen=True)
 class FamilyProfile:
-    """Exact connectivity values of every class representative in G(n, m).
+    """Exact connectivity values of every class representative in G(n, m)
+    at tau = floor(r * n).  Each measure is solved when a caller first
+    reads it, and cached per (n, m, tau).
 
     ``vertex_values`` and ``edge_values`` align with the enumerate_gnm order;
     edge_values is None when tau = 0 (edge disconnection infeasible).
@@ -171,17 +196,66 @@ class FamilyProfile:
     m: int
     r: Fraction
     tau: int
-    vertex_values: tuple[int, ...]
-    edge_values: tuple[int, ...] | None
+
+    @property
+    def vertex_values(self) -> tuple[int, ...]:
+        key = (self.n, self.m, self.tau)
+        if key not in _VERTEX_VALUES:
+            _VERTEX_VALUES[key] = tuple(copvc_value(g, self.tau)
+                                        for g in _level(self.n, self.m))
+        return _VERTEX_VALUES[key]
+
+    @property
+    def edge_values(self) -> tuple[int, ...] | None:
+        if self.tau == 0:
+            return None
+        key = (self.n, self.m, self.tau)
+        if key not in _EDGE_VALUES:
+            _EDGE_VALUES[key] = _edge_values(self.n, self.m, self.r, self.tau)
+        return _EDGE_VALUES[key]
+
+
+def _edge_values(n: int, m: int, r: Fraction, tau: int) -> tuple[int, ...]:
+    """Edge values of the classes of G(n, m), each taken from its parent's
+    cut where that cut holds the parent's extra pair, solved otherwise."""
+    level, parent_cuts = _CUTS.get((n, tau), (None, {}))
+    if level != m + 1:
+        parent_cuts = {}
+    bit_of = {pair: 1 << p for p, pair in enumerate(_pairs(n))}
+    cuts = {}
+    for g in _level(n, m):
+        key = upper_triangle_key(g)
+        # the lowest 0 bit of key: the pair the parent has and g lacks
+        bit = ~key & (key + 1)
+        cut = parent_cuts.get(key | bit, 0)
+        if cut & bit:
+            cut ^= bit
+        else:
+            cut = sum(bit_of[pair] for pair in copec_exact(g, r).elements)
+        cuts[key] = cut
+    _CUTS[n, tau] = (m, cuts)
+    return tuple(cut.bit_count() for cut in cuts.values())
 
 
 @lru_cache(maxsize=None)
 def family_profile(n: int, m: int, r: Fraction) -> FamilyProfile:
+    """The connectivity values of the classes of G(n, m) at proportion r.
+    Raises ValueError at the call when n or m is out of range; solves
+    nothing until a measure is read.
+
+    Edge values are inherited down the orderly-generation tree.  A class G
+    with key c has its parent P at level m + 1: G plus the pair e at the
+    lowest 0 bit q of c, in the same labels, with key c + 2^q.  Let C be a
+    minimum cut of P.  If e is in C, then G - (C - e) = P - C, so C - e is
+    a cut of G; and any cut D of G gives the cut D + e of P.  So G's value
+    is |C| - 1, and C - e is a minimum cut of G, which certifies G's own
+    children in turn.  A class with no such certificate is solved, and its
+    lex-first cut is kept.  The cuts of the last level solved are kept per
+    (n, tau), so a sweep that asks for m from C(n, 2) down solves only the
+    classes no parent certifies.  Either way each value is exact, so every
+    request order gives the same values; the order only decides how many
+    are solved.
+    """
     tau = Threshold.for_order(r, n).tau
-    classes = list(enumerate_gnm(n, m))
-    vertex_values = tuple(copvc_value(g, tau) for g in classes)
-    if tau == 0:
-        edge_values = None
-    else:
-        edge_values = tuple(copec_value(g, tau) for g in classes)
-    return FamilyProfile(n, m, r, tau, vertex_values, edge_values)
+    enumerate_gnm(n, m)
+    return FamilyProfile(n, m, r, tau)

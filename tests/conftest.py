@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from propconn import enumeration
 from propconn.graph import Graph
 
 STANDARD_GRID = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
@@ -29,3 +30,10 @@ def proportions(draw, max_denominator=12):
     den = draw(st.integers(2, max_denominator))
     num = draw(st.integers(1, den - 1))
     return Fraction(num, den)
+
+
+def forget_family_profiles(monkeypatch):
+    """Give family_profile empty value and cut caches until the test ends,
+    so that later requests solve, or inherit, from scratch."""
+    for name in ("_VERTEX_VALUES", "_EDGE_VALUES", "_CUTS"):
+        monkeypatch.setattr(enumeration, name, {})

@@ -42,15 +42,16 @@ def _line(criterion: int, ok: bool, detail: str):
 
 @lru_cache(maxsize=None)
 def _stat_table(n: int, r: Fraction):
-    """stat -> tuple over m of the enumerated family value."""
-    table = {"covmin": [], "covmax": [], "coemin": [], "coemax": []}
-    for m in range(comb(n, 2) + 1):
+    """stat -> tuple over m of the enumerated family value.  Levels are
+    read from m = C(n, 2) down, so edge values inherit from their parents'
+    cuts."""
+    rows = []
+    for m in reversed(range(comb(n, 2) + 1)):
         profile = family_profile(n, m, r)
-        table["covmin"].append(min(profile.vertex_values))
-        table["covmax"].append(max(profile.vertex_values))
-        table["coemin"].append(min(profile.edge_values))
-        table["coemax"].append(max(profile.edge_values))
-    return {stat: tuple(vals) for stat, vals in table.items()}
+        rows.append((min(profile.vertex_values), max(profile.vertex_values),
+                     min(profile.edge_values), max(profile.edge_values)))
+    columns = zip(*reversed(rows))
+    return dict(zip(("covmin", "covmax", "coemin", "coemax"), columns))
 
 
 def test_criterion_01_path_vertex_formula():
@@ -239,17 +240,21 @@ def test_criterion_09_bipartite_bounds_never_violated():
 def test_criterion_10_conjecture_verdict_tables():
     rows = []
     falsified = []
+    # Each sweep is checked from m = C(n, 2) down, so edge values inherit
+    # from their parents' cuts, and listed in ascending m.
     for n, k in [(4, 2), (6, 2), (6, 3), (8, 2)]:
-        for m in range(comb(n, 2) + 1):
-            v = check_equal_partition_conjecture(n, m, k)
+        sweep = [check_equal_partition_conjecture(n, m, k)
+                 for m in reversed(range(comb(n, 2) + 1))]
+        for v in reversed(sweep):
             assert v.holds == (v.lhs == v.rhs)
             assert v.rhs is None or v.rhs >= v.lhs
             rows.append(v)
             if not v.holds:
                 falsified.append(v)
     for n in (4, 6):
-        for m in range(comb(n, 2) + 1):
-            v = check_coemax_upper_bound(n, m)
+        sweep = [check_coemax_upper_bound(n, m)
+                 for m in reversed(range(comb(n, 2) + 1))]
+        for v in reversed(sweep):
             assert v.holds == (v.lhs <= v.rhs)
             assert v.witness is not None
             rows.append(v)

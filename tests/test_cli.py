@@ -1,14 +1,19 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
-from propconn.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from propconn import families
+from propconn.cli import (EXIT_DISCREPANCY, EXIT_INFEASIBLE, EXIT_OK,
+                          EXIT_USAGE, main)
 from propconn.enumeration import MAX_CANONICAL_VERTICES
 from propconn.formats import parse_graph6, serialize_edge_list
 from propconn.graph import path
 from propconn.solver import (MAX_EDGE_SOLVER_VERTICES,
                              MAX_VERTEX_SOLVER_VERTICES, copec_value)
+
+from conftest import forget_family_profiles
 
 
 def run(capsys, *argv):
@@ -189,6 +194,68 @@ def test_closed_form_over_canonical_bound_exits_before_writing(tmp_path,
         assert code == EXIT_USAGE
         assert out == "" and "canonical search supports" in err
         assert not out_file.exists()
+
+
+def test_all_m_sweeps_report_the_per_m_results_in_ascending_m(
+        tmp_path, capsys, monkeypatch):
+    # The sweeps solve from the top level down; each must still report, in
+    # ascending m, what one-level commands report from fresh caches.  A
+    # coemin closed form off by one at odd m makes the mismatch lines and
+    # exit code 3 part of the comparison.
+    coemin = families.coemin
+
+    def skewed(n, m, r):
+        result = coemin(n, m, r)
+        return replace(result, value=result.value + 1) if m % 2 else result
+
+    monkeypatch.setattr(families, "coemin", skewed)
+    levels = range(16)
+    conjectures = (("--name", "equal-partition", "--k", "2"),
+                   ("--name", "equal-partition", "--k", "3"),
+                   ("--name", "coemax-bound"))
+    forget_family_profiles(monkeypatch)
+    scans = {}
+    for stat in ("coemin", "covmax", "coemax"):
+        out_file = tmp_path / f"scan-{stat}.csv"
+        code, _, err = run(capsys, "scan", "--n", "6", "--r", "1/3",
+                           "--stat", stat, "--all-m", "--enumerate",
+                           "--witness", "--out", str(out_file))
+        with open(out_file, newline="") as handle:
+            scans[stat] = (code, list(csv.DictReader(handle)), err)
+    sweeps = {}
+    for name in conjectures:
+        code, out, _ = run(capsys, "conjecture", *name, "--n", "6", "--all-m")
+        assert code == EXIT_OK
+        sweeps[name] = json.loads(out)
+
+    forget_family_profiles(monkeypatch)
+    for stat, (code, rows, err) in scans.items():
+        expected_code, expected_rows, expected_err = EXIT_OK, [], ""
+        for m in levels:
+            m_code, out, _ = run(capsys, "extremal", "--n", "6", "--m", str(m),
+                                 "--r", "1/3", "--stat", stat, "--enumerate")
+            report = json.loads(out)
+            expected_code = max(expected_code, m_code)
+            expected_rows.append({
+                "n": "6", "m": str(m), "r": "1/3", "stat": stat,
+                "value": str(report["enumeration"]["value"]),
+                "method": "enumeration",
+                "witness_graph6": report["enumeration"]["witness"]})
+            for d in report["discrepancies"]:
+                expected_err += (f"mismatch at m={m}: formula {d['formula']}, "
+                                 f"enumeration {d['enumeration']}\n")
+        assert (code, rows, err) == (expected_code, expected_rows,
+                                     expected_err), stat
+    assert scans["coemin"][0] == EXIT_DISCREPANCY
+    assert scans["coemin"][2].count("mismatch") == 8
+    for name, verdicts in sweeps.items():
+        per_m = []
+        for m in levels:
+            code, out, _ = run(capsys, "conjecture", *name, "--n", "6",
+                               "--m", str(m))
+            assert code == EXIT_OK
+            per_m += json.loads(out)
+        assert verdicts == per_m, name
 
 
 def test_verify_exits_clean_on_proven_formulas(capsys):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -8,11 +9,13 @@ from networkx.generators.atlas import graph_atlas_g
 
 from propconn.graph import (Graph, complete, complete_bipartite, cycle,
                             disjoint_union, edgeless, path)
+from propconn import enumeration
 from propconn.enumeration import (MAX_CANONICAL_VERTICES, canonical_graph,
                                   canonical_key, count_classes, enumerate_gnm,
-                                  upper_triangle_key)
+                                  family_profile, upper_triangle_key)
+from propconn.solver import copec_exact, copec_value
 
-from conftest import graphs
+from conftest import STANDARD_GRID, forget_family_profiles, graphs
 from oracles import all_labeled_graphs, brute_canonical_key
 
 # classes of graphs with n vertices and m edges, from brute-force labeled
@@ -248,3 +251,84 @@ def test_canonical_forms_of_twin_heavy_graphs():
             assert cg.n == g.n and cg.m == g.m
             for _ in range(3):
                 assert canonical_graph(_relabeled(g, rng)) == cg, (n, g)
+
+
+def _count_edge_solves(monkeypatch):
+    """The graphs family_profile hands to the edge solver from now on."""
+    solved = []
+
+    def counted(g, r):
+        solved.append(g)
+        return copec_exact(g, r)
+
+    monkeypatch.setattr(enumeration, "copec_exact", counted)
+    return solved
+
+
+# Edge solves of a sweep of G(7, .) from m = 21 down, per tau, out of 1044
+# classes: the classes whose parent's cut does not hold the parent's extra
+# pair.
+G7_TOP_DOWN_EDGE_SOLVES = {1: 1, 2: 145, 3: 460, 4: 566, 5: 788, 6: 983}
+
+
+def test_inherited_edge_values_match_direct_solves(monkeypatch):
+    forget_family_profiles(monkeypatch)
+    solved = _count_edge_solves(monkeypatch)
+    for n in range(1, 8):
+        for tau in range(1, n):
+            solved.clear()
+            for m in reversed(range(comb(n, 2) + 1)):
+                profile = family_profile(n, m, Fraction(tau, n))
+                assert profile.tau == tau
+                assert profile.edge_values == tuple(
+                    copec_value(g, tau) for g in enumerate_gnm(n, m)), \
+                    (n, m, tau)
+            if n == 7:
+                assert len(solved) == G7_TOP_DOWN_EDGE_SOLVES[tau], tau
+
+
+def _requests(n, order):
+    """The levels of G(n, .) in the given request order."""
+    ms = list(range(comb(n, 2) + 1))
+    if order == "descending":
+        return ms[::-1]
+    # runs of three descending levels, the runs in seeded order
+    runs = [ms[i:i + 3][::-1] for i in range(0, len(ms), 3)]
+    random.Random(n).shuffle(runs)
+    return [m for run in runs for m in run]
+
+
+def test_request_orders_give_identical_profiles(monkeypatch):
+    profiles = {}
+    for order in ("ascending", "descending", "interleaved"):
+        forget_family_profiles(monkeypatch)
+        got = profiles[order] = {}
+        for n in range(1, 8):
+            for r in STANDARD_GRID:
+                ms = (range(comb(n, 2) + 1) if order == "ascending"
+                      else _requests(n, order))
+                for m in ms:
+                    p = family_profile(n, m, r)
+                    got[n, m, r] = (p.tau, p.vertex_values, p.edge_values)
+    assert profiles["ascending"] == profiles["descending"]
+    assert profiles["ascending"] == profiles["interleaved"]
+
+
+def test_family_profile_solves_only_the_measure_read(monkeypatch):
+    forget_family_profiles(monkeypatch)
+    solved = _count_edge_solves(monkeypatch)
+
+    def no_vertex_solve(g, tau):
+        raise AssertionError("vertex solve while reading edge values")
+
+    monkeypatch.setattr(enumeration, "copvc_value", no_vertex_solve)
+    profile = family_profile(6, 7, Fraction(1, 2))
+    assert solved == []
+    assert len(profile.edge_values) == count_classes(6, 7)
+    assert len(solved) == count_classes(6, 7)
+    with pytest.raises(AssertionError, match="vertex solve"):
+        profile.vertex_values
+    # out-of-range requests still fail at the call
+    for n, m in ((9, 0), (4, 7)):
+        with pytest.raises(ValueError):
+            family_profile(n, m, Fraction(1, 2))
