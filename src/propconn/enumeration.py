@@ -20,20 +20,26 @@ of G and p its lowest 0 bit, c + 2^p is the canonical key of G plus the
 pair at bit p: that canonical graph is G's one parent.  So the levels from
 C(n,2) down to C(n,2)/2 are built from the complete graph downward: a
 canonical graph with key k yields, for each bit p in the trailing run of
-1s of k, the graph without the pair at bit p, kept exactly when its
-canonical key is k - 2^p.  Each class is then reached once, from its
-parent, already in canonical labeling.  Levels below C(n,2)/2 are the
-complements of the levels above it, one canonical search per class.
-Levels are cached per n for the lifetime of the process.
+1s of k, the graph without the pair at bit p, kept exactly when its own
+labeling is canonical (its key is then k - 2^p).  Removing the pair
+(i, j), i < j, changes only j's columns at the levels l between i and j.
+When j's column sorts below l's at one of them, placing j at position l
+gives a smaller key, so an O(n) column check rejects most such children
+with no search.  Each class is then reached once, from its parent,
+already in canonical labeling.  Levels below C(n,2)/2 are the complements
+of the levels above it, one canonical search per class.  Levels are
+cached per n for the lifetime of the process, each as a dict from
+canonical key to graph in key order, so no key is computed twice.
 
 ``family_profile`` gives the exact vertex and edge values of every class
 of a level, solving each measure only when it is read.  Edge values are
-inherited along the same parent relation: G is its parent P minus one
-pair e, in the same labels, and when a minimum cut C of P holds e, C - e
-is a minimum cut of G (see ``family_profile``).  So a sweep that asks for
-the levels from C(n,2) down solves only the classes whose parent's cut
-misses e; a value is exact by either route, so the request order changes
-only how many classes are solved.
+inherited along the parent relation, from any parent in G's own labels:
+for each 0 bit b of G's key c whose c + 2^b is a class one level up, that
+class is G plus the pair e at bit b, and when a minimum cut C of it holds
+e, C - e is a minimum cut of G (see ``family_profile``).  So a sweep that
+asks for the levels from C(n,2) down solves only the classes no parent's
+cut certifies; a value is exact by either route, so the request order
+changes only how many classes are solved.
 """
 
 from dataclasses import dataclass
@@ -131,34 +137,55 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
                  for i in range(j - 1, -1, -1))
 
 
-# n -> {m: key-sorted canonical graphs of G(n, m)}, filled on demand.
-_LEVELS: dict[int, dict[int, list[Graph]]] = {}
+# n -> {m: {canonical key: canonical graph} of G(n, m), in key order},
+# filled on demand.
+_LEVELS: dict[int, dict[int, dict[int, Graph]]] = {}
 
 
-def _level(n: int, m: int) -> list[Graph]:
+def _sorts_lower(rows: tuple[int, ...] | list[int], i: int, j: int) -> bool:
+    """Whether vertex j's column sorts below vertex l's at some level l with
+    i < l < j: its bits to vertices 0..l-1, read from vertex 0, are smaller.
+    Placing j at position l then gives a smaller key, so this labeling of
+    the graph is not minimal.  A canonical graph minus the pair (i, j)
+    differs from it only in j's columns at those levels."""
+    row = rows[j]
+    for l in range(i + 1, j):
+        diff = (row ^ rows[l]) & ((1 << l) - 1)
+        if diff and not row & diff & -diff:
+            return True
+    return False
+
+
+def _level(n: int, m: int) -> dict[int, Graph]:
     if not 0 <= n <= MAX_ENUM_VERTICES:
         raise ValueError(f"enumeration supports 0 <= n <= {MAX_ENUM_VERTICES}, got {n}")
     top = comb(n, 2)
     if not 0 <= m <= top:
         raise ValueError(f"m={m} out of range for n={n}")
     if n not in _LEVELS:
-        _LEVELS[n] = {top: [complete(n)]}
+        _LEVELS[n] = {top: {(1 << top) - 1: complete(n)}}
     levels = _LEVELS[n]
     if m not in levels:
+        found = {}
         if 2 * m < top:
-            found = [canonical_graph(g.complement())
-                     for g in _level(n, top - m)]
+            for g in _level(n, top - m).values():
+                cg = canonical_graph(g.complement())
+                found[upper_triangle_key(cg)] = cg
         else:
             pairs = _pairs(n)
-            found = []
-            for parent in _level(n, m + 1):
-                key = upper_triangle_key(parent)
+            for key, parent in _level(n, m + 1).items():
                 # p runs over the trailing run of 1s of the key
                 for p in range((key ^ (key + 1)).bit_length() - 1):
-                    child = parent.remove_edges([pairs[p]])
-                    if canonical_key(child) == key - (1 << p):
-                        found.append(child)
-        levels[m] = sorted(found, key=upper_triangle_key)
+                    i, j = pairs[p]
+                    rows = list(parent.rows)
+                    rows[i] ^= 1 << j
+                    rows[j] ^= 1 << i
+                    if _sorts_lower(rows, i, j):
+                        continue
+                    child = Graph._from_rows(n, tuple(rows))
+                    if canonical_graph(child).rows == child.rows:
+                        found[key - (1 << p)] = child
+        levels[m] = dict(sorted(found.items()))
     return levels[m]
 
 
@@ -166,7 +193,7 @@ def enumerate_gnm(n: int, m: int):
     """Iterator over one canonical representative per isomorphism class in
     G(n, m), in increasing canonical-key order.  Raises ValueError at the
     call when n or m is out of range."""
-    return iter(_level(n, m))
+    return iter(_level(n, m).values())
 
 
 def count_classes(n: int, m: int) -> int:
@@ -201,8 +228,9 @@ class FamilyProfile:
     def vertex_values(self) -> tuple[int, ...]:
         key = (self.n, self.m, self.tau)
         if key not in _VERTEX_VALUES:
-            _VERTEX_VALUES[key] = tuple(copvc_value(g, self.tau)
-                                        for g in _level(self.n, self.m))
+            _VERTEX_VALUES[key] = tuple(
+                copvc_value(g, self.tau)
+                for g in _level(self.n, self.m).values())
         return _VERTEX_VALUES[key]
 
     @property
@@ -216,20 +244,25 @@ class FamilyProfile:
 
 
 def _edge_values(n: int, m: int, r: Fraction, tau: int) -> tuple[int, ...]:
-    """Edge values of the classes of G(n, m), each taken from its parent's
-    cut where that cut holds the parent's extra pair, solved otherwise."""
+    """Edge values of the classes of G(n, m), each taken from the cut of a
+    parent that holds the parent's extra pair, solved when no parent's
+    cut does."""
     level, parent_cuts = _CUTS.get((n, tau), (None, {}))
     if level != m + 1:
         parent_cuts = {}
     bit_of = {pair: 1 << p for p, pair in enumerate(_pairs(n))}
+    full = (1 << comb(n, 2)) - 1
     cuts = {}
-    for g in _level(n, m):
-        key = upper_triangle_key(g)
-        # the lowest 0 bit of key: the pair the parent has and g lacks
-        bit = ~key & (key + 1)
-        cut = parent_cuts.get(key | bit, 0)
-        if cut & bit:
-            cut ^= bit
+    for key, g in _level(n, m).items():
+        # the 0 bits of key, lowest first: the pairs a parent may add to g
+        free = ~key & full
+        while free:
+            bit = free & -free
+            cut = parent_cuts.get(key | bit, 0)
+            if cut & bit:
+                cut ^= bit
+                break
+            free ^= bit
         else:
             cut = sum(bit_of[pair] for pair in copec_exact(g, r).elements)
         cuts[key] = cut
@@ -243,18 +276,21 @@ def family_profile(n: int, m: int, r: Fraction) -> FamilyProfile:
     Raises ValueError at the call when n or m is out of range; solves
     nothing until a measure is read.
 
-    Edge values are inherited down the orderly-generation tree.  A class G
-    with key c has its parent P at level m + 1: G plus the pair e at the
-    lowest 0 bit q of c, in the same labels, with key c + 2^q.  Let C be a
-    minimum cut of P.  If e is in C, then G - (C - e) = P - C, so C - e is
-    a cut of G; and any cut D of G gives the cut D + e of P.  So G's value
-    is |C| - 1, and C - e is a minimum cut of G, which certifies G's own
-    children in turn.  A class with no such certificate is solved, and its
-    lex-first cut is kept.  The cuts of the last level solved are kept per
-    (n, tau), so a sweep that asks for m from C(n, 2) down solves only the
-    classes no parent certifies.  Either way each value is exact, so every
-    request order gives the same values; the order only decides how many
-    are solved.
+    Edge values are inherited down the orderly-generation tree.  Let G be a
+    class with key c, and b a 0 bit of c such that c + 2^b is the key of a
+    class P at level m + 1.  A key determines its graph, so P is G plus the
+    pair e at bit b, in the same labels; the lowest 0 bit of c always gives
+    such a P, G's canonical parent.  Let C be a minimum cut of P.  If e is
+    in C, then G - (C - e) = P - C, so C - e is a cut of G; and any cut D
+    of G gives the cut D + e of P.  So G's value is |C| - 1, and C - e is a
+    minimum cut of G, which certifies G's own children in turn.  G takes
+    its cut from the first such P, lowest b first, whose cut holds e; a
+    class with no such certificate is solved, and its lex-first cut is
+    kept.  The cuts of the last level solved are kept per (n, tau), so a
+    sweep that asks for m from C(n, 2) down solves only the classes no
+    parent certifies.  Either way each value is exact, so every request
+    order gives the same values; the order only decides how many are
+    solved.
     """
     tau = Threshold.for_order(r, n).tau
     enumerate_gnm(n, m)

@@ -253,6 +253,42 @@ def test_canonical_forms_of_twin_heavy_graphs():
                 assert canonical_graph(_relabeled(g, rng)) == cg, (n, g)
 
 
+def test_column_check_never_rejects_a_canonical_child():
+    # The column check only spares searches: whenever it rejects a class
+    # minus one of its edges, that labeling must not be canonical.
+    rejected = 0
+    for n in range(1, 8):
+        for m in range(comb(n, 2) + 1):
+            for g in enumerate_gnm(n, m):
+                for i, j in g.edges():
+                    child = g.remove_edges([(i, j)])
+                    if enumeration._sorts_lower(child.rows, i, j):
+                        rejected += 1
+                        assert canonical_graph(child) != child, (g, i, j)
+    assert rejected > 0
+
+
+# canonical_graph calls of a cold enumeration of every level of G(7, .):
+# one per class of the lower half (522 complements), and one per child of
+# the upper half that the column check lets through (919, of which 521 are
+# canonical).
+G7_CANONICAL_SEARCHES = 1441
+
+
+def test_cold_enumeration_search_count(monkeypatch):
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    searched = []
+    search = enumeration.canonical_graph
+
+    def counted(g):
+        searched.append(g)
+        return search(g)
+
+    monkeypatch.setattr(enumeration, "canonical_graph", counted)
+    assert sum(count_classes(7, m) for m in range(22)) == TOTAL_CLASSES[7]
+    assert len(searched) == G7_CANONICAL_SEARCHES
+
+
 def _count_edge_solves(monkeypatch):
     """The graphs family_profile hands to the edge solver from now on."""
     solved = []
@@ -266,9 +302,9 @@ def _count_edge_solves(monkeypatch):
 
 
 # Edge solves of a sweep of G(7, .) from m = 21 down, per tau, out of 1044
-# classes: the classes whose parent's cut does not hold the parent's extra
+# classes: the classes for which no parent's cut holds that parent's extra
 # pair.
-G7_TOP_DOWN_EDGE_SOLVES = {1: 1, 2: 145, 3: 460, 4: 566, 5: 788, 6: 983}
+G7_TOP_DOWN_EDGE_SOLVES = {1: 1, 2: 66, 3: 255, 4: 368, 5: 540, 6: 824}
 
 
 def test_inherited_edge_values_match_direct_solves(monkeypatch):
