@@ -6,14 +6,19 @@ size limit), 2 infeasible request (edge disconnection at floor(r*n) = 0),
 3 discrepancy in a settled formula.
 Ratios are always written A/B; decimals are rejected so thresholds stay
 exact.
+
+``main(argv)`` may be called any number of times in one process.  It builds
+its parser once, on the first call, and reuses it: parsing keeps no state
+between calls, and errors go to ``sys.stderr`` as it is at each call.
 """
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from math import comb
 
-from .graph import Threshold, parse_proportion
+from .graph import MAX_VERTICES, Threshold, parse_proportion
 from .solver import MAX_EDGE_SOLVER_VERTICES, copvc_exact, copec_exact
 from .formulas import ClassSpec, formula_vs_oracle, formulas_for
 from . import families
@@ -52,6 +57,7 @@ def _ratio(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="propconn",
                      description="Exact proportional component-order "
@@ -256,6 +262,9 @@ def _cmd_verify(args) -> int:
             Threshold.for_order(r, args.n_max).tau >= 1 for r in grid):
         raise _UsageError(f"--n-max {args.n_max} exceeds the edge solver "
                           f"bound {MAX_EDGE_SOLVER_VERTICES} for this r-grid")
+    if args.n_max > MAX_VERTICES:
+        raise _UsageError(f"--n-max {args.n_max} exceeds the graph order "
+                          f"bound {MAX_VERTICES}")
     failed = []
     warned = []
     checked = 0

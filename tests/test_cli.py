@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from propconn import families
+from propconn import cli, families
 from propconn.cli import (EXIT_DISCREPANCY, EXIT_INFEASIBLE, EXIT_OK,
                           EXIT_USAGE, main)
 from propconn.enumeration import MAX_CANONICAL_VERTICES
 from propconn.formats import parse_graph6, serialize_edge_list
-from propconn.graph import path
+from propconn.graph import MAX_VERTICES, path
 from propconn.solver import (MAX_EDGE_SOLVER_VERTICES,
                              MAX_VERTEX_SOLVER_VERTICES, copec_value)
 
@@ -281,6 +281,18 @@ def test_verify_rejects_n_max_over_edge_solver_bound(capsys):
     assert code == EXIT_OK and json.loads(out)["failed_proven"] == []
 
 
+def test_verify_rejects_n_max_over_graph_order_bound(capsys):
+    # floor(r * n) = 0 through n = 99, so the edge bound does not apply and
+    # only the order bound of every solver input stands in the way.
+    n_max = str(MAX_VERTICES + 1)
+    code, out, err = run(capsys, "verify", "--n-max", n_max, "--r-grid", "1/100")
+    assert code == EXIT_USAGE
+    assert out == "" and f"--n-max {n_max} exceeds the graph order bound" in err
+    code, out, _ = run(capsys, "verify", "--n-max", str(MAX_VERTICES),
+                       "--r-grid", "1/100")
+    assert code == EXIT_OK and json.loads(out)["failed_proven"] == []
+
+
 def test_conjecture_equal_partition_k_below_two_usage_error(capsys):
     for k in ("1", "0", "-2"):
         code, out, err = run(capsys, "conjecture", "--name", "equal-partition",
@@ -328,3 +340,55 @@ def test_missing_file_usage_error(capsys):
     code, _, err = run(capsys, "compute", "--graph", "/nonexistent.el",
                        "--r", "1/2", "--mode", "vertex")
     assert code == EXIT_USAGE and err
+
+
+def test_main_builds_its_parser_once_and_keeps_no_state_between_calls(
+        tmp_path, capsys):
+    graph_file = tmp_path / "p5.el"
+    graph_file.write_text(serialize_edge_list(path(5)))
+    long_file = tmp_path / "long-path.el"
+    long_file.write_text(serialize_edge_list(path(MAX_EDGE_SOLVER_VERTICES + 1)))
+    csv_file = tmp_path / "scan.csv"
+    calls = [
+        ["compute", "--graph", str(graph_file), "--r", "1/2",
+         "--mode", "vertex", "--witness"],
+        ["compute", "--graph", str(graph_file), "--r", "1/2", "--mode", "edge"],
+        ["formula", "--class", "cycle", "--n", "8", "--r", "1/4",
+         "--mode", "vertex"],
+        ["extremal", "--n", "5", "--m", "6", "--r", "1/2", "--stat", "covmax",
+         "--enumerate"],
+        ["scan", "--n", "5", "--r", "1/2", "--stat", "coemin", "--all-m",
+         "--out", str(csv_file), "--witness"],
+        ["verify", "--n-max", "5", "--r-grid", "1/3,1/2"],
+        # argparse usage errors: an unknown flag and a decimal ratio
+        ["formula", "--class", "complete", "--n", "5", "--r", "1/2",
+         "--mode", "vertex", "--bogus"],
+        ["compute", "--graph", str(graph_file), "--r", "0.5",
+         "--mode", "vertex"],
+        # a usage error raised by the command, and a solver-limit ValueError
+        ["formula", "--class", "complete-bipartite", "--b", "3",
+         "--r", "1/2", "--mode", "vertex"],
+        ["compute", "--graph", str(long_file), "--r", "1/2", "--mode", "edge"],
+        # each side of the mutually exclusive group, then both together
+        ["conjecture", "--name", "equal-partition", "--n", "4", "--m", "4"],
+        ["conjecture", "--name", "equal-partition", "--n", "4", "--all-m"],
+        ["conjecture", "--name", "equal-partition", "--n", "4", "--m", "4",
+         "--all-m"],
+    ]
+
+    def call(argv):
+        code, out, err = run(capsys, *argv)
+        table = csv_file.read_text() if csv_file.exists() else None
+        csv_file.unlink(missing_ok=True)
+        return code, out, err, table
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(call(argv))
+    # Twice over, so that every call also follows every other one.
+    cli._build_parser.cache_clear()
+    shared = [call(argv) for argv in calls + calls]
+    assert shared == fresh + fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert {code for code, *_ in fresh} == {EXIT_OK, EXIT_USAGE}
