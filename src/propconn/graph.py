@@ -186,19 +186,25 @@ class Graph:
         """The vertex mask of the component holding the vertex bit ``seed``
         in the subgraph induced on the vertex mask ``within``.
 
-        With a cap, growth stops as soon as the mask holds more than cap
-        vertices, and that partial mask is returned: a result of order
-        > cap means the component is larger than cap, nothing more.
+        Growth adds the new neighbours of one member at a time, highest
+        member first.  With a cap it stops once the mask would pass cap
+        vertices and returns exactly cap + 1 of them, connected, cutting
+        the last batch down to its highest vertices; a component of order
+        at most cap is returned whole.
         """
         rows = self.rows
         comp = todo = seed
         while todo:
-            low = todo & -todo
-            new = rows[low.bit_length() - 1] & within & ~comp
+            v = todo.bit_length() - 1
+            new = rows[v] & within & ~comp
+            if cap is not None:
+                spare = (comp | new).bit_count() - cap - 1
+                if spare >= 0:
+                    for _ in range(spare):
+                        new &= new - 1
+                    return comp | new
             comp |= new
-            if cap is not None and comp.bit_count() > cap:
-                break
-            todo = (todo ^ low) | new
+            todo ^= 1 << v | new
         return comp
 
     def component_masks(self) -> list[int]:
@@ -210,20 +216,29 @@ class Graph:
             remaining ^= comp
         return masks
 
-    def is_failure_state(self, tau: int, within: int | None = None) -> bool:
-        """True iff every component of the subgraph induced on the vertex
-        mask ``within`` (the whole graph by default) has order at most tau.
+    def oversized_part(self, tau: int, within: int | None = None) -> int:
+        """0 iff every component of the subgraph induced on the vertex mask
+        ``within`` (the whole graph by default) has order at most tau.
 
-        The empty graph is vacuously failed.  tau may come from an original
-        order larger than this graph's current order.
+        Otherwise a witness: the capped growth (``grow_component``) of
+        tau + 1 connected vertices from the highest vertex of the highest
+        component of order > tau.  tau may come from an original order
+        larger than this graph's current order.
         """
         remaining = (1 << self.n) - 1 if within is None else within
         while remaining.bit_count() > tau:
-            comp = self.grow_component(remaining & -remaining, remaining, tau)
-            if comp.bit_count() > tau:
-                return False
-            remaining ^= comp
-        return True
+            part = self.grow_component(1 << (remaining.bit_length() - 1),
+                                       remaining, tau)
+            if part.bit_count() > tau:
+                return part
+            remaining ^= part
+        return 0
+
+    def is_failure_state(self, tau: int, within: int | None = None) -> bool:
+        """True iff no component of the subgraph induced on ``within`` has
+        order > tau (see ``oversized_part``); the empty graph is vacuously
+        failed."""
+        return not self.oversized_part(tau, within)
 
 
 def edgeless(n: int) -> Graph:

@@ -18,6 +18,8 @@ order tau forces its undecided neighbours out; a node whose kept and
 undecided vertices form a failure state is the best leaf below it; a node
 that cannot keep more than the incumbent is cut, also when counting what
 the kept part a vertex joins must shed among its undecided neighbours.
+The search has no failure test of its own: ``Graph.oversized_part`` is
+the one test, and its witness tells which removals call for a new test.
 
 Edge side: a minimum edge disconnecting set is exactly the set of edges
 crossing an optimal partition of the vertices into parts of order at most
@@ -118,31 +120,13 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
     still keep.  Its first child removes the lowest undecided vertex, the
     second keeps it, so removed sets are met in lex order; incumbents are
     taken only on a strict gain.
+
+    A node carries a witness from ``g.oversized_part``, tau + 1 connected
+    live vertices, and tests again only when a removal takes one of them.
+    The keep branch walks the new vertex's kept part itself, because it
+    also needs the part's neighbourhood, which no failure test returns.
     """
     rows = g.rows
-
-    def oversized(live):
-        """None when every component of the vertex mask ``live`` has order
-        <= tau.  Otherwise a witness: a connected set of tau + 1 vertices
-        of live, grown from the highest vertex of its component by adding
-        the new neighbours of one member at a time, highest member first,
-        and cut inside the last batch, keeping that batch's highest
-        vertices."""
-        remaining = live
-        while remaining.bit_count() > tau:
-            part = todo = 1 << (remaining.bit_length() - 1)
-            while todo:
-                v = todo.bit_length() - 1
-                new = rows[v] & live & ~part
-                spare = (part | new).bit_count() - tau - 1
-                if spare >= 0:
-                    for _ in range(spare):
-                        new &= new - 1
-                    return part | new
-                part |= new
-                todo ^= 1 << v | new
-            remaining ^= part
-        return None
 
     # Removing any k - tau vertices leaves only tau; the lowest sort first.
     best, best_kept = tau, comp
@@ -158,8 +142,8 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
             bit = undecided & -undecided
             undecided ^= bit
             if witness & bit:
-                found = oversized(kept | undecided)
-                if found is None:
+                found = g.oversized_part(tau, kept | undecided)
+                if not found:
                     best, best_kept = size - 1, kept | undecided | closed
                 elif size - 2 > best:
                     search(kept, undecided, closed, size - 1, found)
@@ -188,8 +172,8 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
                 closed |= part
                 undecided ^= out
                 if witness & out:
-                    witness = oversized(kept | undecided)
-                    if witness is None:
+                    witness = g.oversized_part(tau, kept | undecided)
+                    if not witness:
                         best, best_kept = size, kept | undecided | closed
                         return
                 continue

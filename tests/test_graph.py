@@ -137,18 +137,42 @@ def test_growth_within_mask_matches_networkx(g, data):
     expected = [sum(1 << v for v in comp)
                 for comp in nx.connected_components(induced)]
     caps = range(g.n + 1)
+
+    def connected_part(part, comp, cap):
+        # a connected set of cap + 1 vertices inside comp
+        vertices = [v for v in range(g.n) if part >> v & 1]
+        return (part & ~comp == 0 and len(vertices) == cap + 1
+                and nx.is_connected(induced.subgraph(vertices)))
+
     for comp in expected:
         for seed in (1 << v for v in range(g.n) if comp >> v & 1):
             assert g.grow_component(seed, within) == comp
             for cap in caps:
-                # a capped growth stays inside the component and passes
-                # the cap exactly when the component does
+                # a capped growth is the whole component when that fits,
+                # and otherwise exactly cap + 1 connected vertices of it
                 capped = g.grow_component(seed, within, cap)
-                assert capped & ~comp == 0
-                assert (capped.bit_count() > cap) == (comp.bit_count() > cap)
+                if comp.bit_count() <= cap:
+                    assert capped == comp
+                else:
+                    assert capped & seed and connected_part(capped, comp, cap)
     for cap in caps:
-        assert g.is_failure_state(cap, within) == all(
-            comp.bit_count() <= cap for comp in expected)
+        over = [comp for comp in expected if comp.bit_count() > cap]
+        part = g.oversized_part(cap, within)
+        assert g.is_failure_state(cap, within) == (not over) == (part == 0)
+        if over:
+            assert any(connected_part(part, comp, cap) for comp in over)
+
+
+def test_capped_growth_keeps_the_highest_vertices():
+    # Seeded at the centre of K_{1,4}, one batch holds every leaf: a cap of
+    # 2 keeps the centre and the two highest leaves.
+    star = complete_bipartite(1, 4)
+    assert star.grow_component(1, 0b11111, 2) == 0b11001
+    assert star.oversized_part(2) == 0b11001
+    # The witness grows from the highest vertex of the highest oversized
+    # component, highest member first: P3 + P4 at tau 2 gives 6-5-4.
+    assert disjoint_union(path(3), path(4)).oversized_part(2) == 0b1110000
+    assert disjoint_union(path(4), path(2)).oversized_part(2) == 0b0001110
 
 
 @given(st.integers(2, 10 ** 4), st.data())

@@ -78,6 +78,8 @@ def test_verify_witness_examples():
     assert verify_witness(k5, HALF, DisconnectingWitness("vertex", (0, 1, 2), 3))
     assert not verify_witness(k5, HALF, DisconnectingWitness("vertex", (0, 1), 2))
     assert verify_witness(edgeless(4), HALF, DisconnectingWitness("vertex", (), 0))
+    with pytest.raises(ValueError):
+        verify_witness(k5, HALF, DisconnectingWitness("arc", (), 0))
 
 
 def assert_lex_first_vertex_witness(g, r):
@@ -282,6 +284,30 @@ def test_vertex_search_matches_subset_scan():
         for tau in taus:
             assert (_min_vertex_set(g, tau)
                     == scan_min_vertex_set(g, tau)), (g, tau)
+
+
+def test_vertex_search_work_is_pinned(monkeypatch):
+    # The failure tests the vertex search makes over every class of
+    # G(7, .), per tau.  The search takes each witness from
+    # Graph.oversized_part; a change to the witness or to the search order
+    # moves these counts.
+    calls = 0
+    oversized_part = Graph.oversized_part
+
+    def counted(self, tau, within=None):
+        nonlocal calls
+        calls += 1
+        return oversized_part(self, tau, within)
+
+    monkeypatch.setattr(Graph, "oversized_part", counted)
+    classes = [g for m in range(comb(7, 2) + 1) for g in enumerate_gnm(7, m)]
+    made = {}
+    for tau in range(1, 7):
+        calls = 0
+        for g in classes:
+            copvc_value(g, tau)
+        made[tau] = calls
+    assert made == {1: 5704, 2: 12850, 3: 14430, 4: 11363, 5: 4979, 6: 0}
 
 
 def test_vertex_solver_rejects_component_over_limit():
