@@ -10,10 +10,10 @@ quantities on both sides, and a falsifying instance is a first-class
 result carrying its witness graph.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, isqrt
+from typing import NamedTuple
 
 from .graph import Graph, proportion
 from .enumeration import enumerate_gnm, family_profile
@@ -22,16 +22,14 @@ from .families import extremal_by_enumeration
 MAX_CUT_VERTICES = 24
 
 
-@dataclass(frozen=True)
-class BipartiteWitness:
+class BipartiteWitness(NamedTuple):
     """A bipartition of all vertices and the number of edges crossing it."""
 
     partition: tuple[tuple[int, ...], tuple[int, ...]]
     crossing_edges: int
 
 
-@dataclass(frozen=True)
-class ConjectureVerdict:
+class ConjectureVerdict(NamedTuple):
     name: str
     n: int
     m: int

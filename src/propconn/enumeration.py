@@ -42,10 +42,10 @@ cut certifies; a value is exact by either route, so the request order
 changes only how many classes are solved.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .graph import Graph, Threshold, complete
 from .solver import copvc_value, copec_exact
@@ -209,8 +209,7 @@ _EDGE_VALUES: dict[tuple[int, int, int], tuple[int, ...]] = {}
 _CUTS: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
 
 
-@dataclass(frozen=True)
-class FamilyProfile:
+class FamilyProfile(NamedTuple):
     """Exact connectivity values of every class representative in G(n, m)
     at tau = floor(r * n).  Each measure is solved when a caller first
     reads it, and cached per (n, m, tau).
@@ -270,7 +269,6 @@ def _edge_values(n: int, m: int, r: Fraction, tau: int) -> tuple[int, ...]:
     return tuple(cut.bit_count() for cut in cuts.values())
 
 
-@lru_cache(maxsize=None)
 def family_profile(n: int, m: int, r: Fraction) -> FamilyProfile:
     """The connectivity values of the classes of G(n, m) at proportion r.
     Raises ValueError at the call when n or m is out of range; solves

@@ -8,9 +8,9 @@ covmax and coemax only have known values in their tail regions, with the
 middle left to exact enumeration.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .graph import Graph, Threshold, complete, disjoint_union, edgeless
 from .enumeration import (MAX_ENUM_VERTICES, canonical_graph, enumerate_gnm,
@@ -19,8 +19,7 @@ from .enumeration import (MAX_ENUM_VERTICES, canonical_graph, enumerate_gnm,
 _STATS = ("covmin", "coemin", "covmax", "coemax")
 
 
-@dataclass(frozen=True)
-class PQDecomposition:
+class PQDecomposition(NamedTuple):
     """n = p*tau + q with 0 <= q < tau, the shape of the densest failure
     state (p full parts of order tau plus a remainder part)."""
 
@@ -38,8 +37,7 @@ class PQDecomposition:
         return cls(n, tau, p, q)
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(NamedTuple):
     stat: str
     n: int
     m: int

@@ -15,9 +15,9 @@ There is no closed form for edge removal on complete bipartite graphs; use
 the exact solver for those instances.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .graph import Graph, Threshold, path, cycle, complete, complete_bipartite
 from .solver import copvc_value, copec_value
@@ -30,15 +30,13 @@ PROVEN_FORMULAS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     value: int
     formula_id: str
     tau: int
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(NamedTuple):
     """A concrete instance of one of the supported graph classes."""
 
     family: str                    # path | cycle | complete | complete_bipartite
@@ -157,23 +155,21 @@ def copec_complete(n: int, r: Fraction) -> FormulaResult:
                          "complete_edge", tau)
 
 
-@dataclass(frozen=True)
-class FormulaCheck:
+class FormulaCheck(NamedTuple):
     formula_id: str
     value: int
     matches_oracle: bool
     proven: bool
 
 
-@dataclass(frozen=True)
-class DiscrepancyEntry:
+class DiscrepancyEntry(NamedTuple):
     """One (class instance, r, mode) adjudication record."""
 
     spec: ClassSpec
     r: Fraction
     mode: str
     oracle: int
-    checks: tuple[FormulaCheck, ...] = field(default=())
+    checks: tuple[FormulaCheck, ...] = ()
 
     @property
     def failed_proven(self) -> tuple[str, ...]:

@@ -7,8 +7,8 @@ immutable; every operation returns a new graph, so values are safe to share
 between threads.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 MAX_VERTICES = 64
 
@@ -40,8 +40,7 @@ def parse_proportion(text: str) -> Fraction:
     return proportion(num, den)
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(NamedTuple):
     """Largest admissible component order: tau = floor(r * n) for the
     original order n.
 

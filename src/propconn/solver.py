@@ -32,8 +32,8 @@ which is decoded from the optimal score alone.  That one pass gives both
 the value and the lex-first set.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import Graph, Threshold, MAX_VERTICES
 
@@ -66,8 +66,7 @@ class EdgeSolverLimitError(ValueError):
     solver = "edge"
 
 
-@dataclass(frozen=True)
-class DisconnectingWitness:
+class DisconnectingWitness(NamedTuple):
     """A minimum disconnecting set, or an infeasibility marker.
 
     ``elements`` holds vertex labels for kind 'vertex' and (u, v) pairs with
@@ -359,5 +358,4 @@ def verify_witness(g: Graph, r: Fraction, w: DisconnectingWitness) -> bool:
         h = g.remove_edges(w.elements)
     else:
         raise ValueError(f"unknown witness kind {w.kind!r}")
-    # Threshold.for_order would reject the empty graph, which is failed.
-    return h.is_failure_state((r.numerator * g.n) // r.denominator)
+    return h.is_failure_state(Threshold.for_order(r, g.n).tau)

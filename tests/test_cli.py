@@ -1,6 +1,5 @@
 import csv
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -206,7 +205,7 @@ def test_all_m_sweeps_report_the_per_m_results_in_ascending_m(
 
     def skewed(n, m, r):
         result = coemin(n, m, r)
-        return replace(result, value=result.value + 1) if m % 2 else result
+        return result._replace(value=result.value + 1) if m % 2 else result
 
     monkeypatch.setattr(families, "coemin", skewed)
     levels = range(16)

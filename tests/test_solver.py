@@ -80,6 +80,8 @@ def test_verify_witness_examples():
     assert verify_witness(edgeless(4), HALF, DisconnectingWitness("vertex", (), 0))
     with pytest.raises(ValueError):
         verify_witness(k5, HALF, DisconnectingWitness("arc", (), 0))
+    with pytest.raises(ValueError):
+        verify_witness(Graph(0), HALF, DisconnectingWitness("vertex", (), 0))
 
 
 def assert_lex_first_vertex_witness(g, r):
@@ -265,6 +267,43 @@ def test_values_match_networkx_beyond_oracle_orders():
                                               maxcardinality=True)
             assert copec_value(g, 1) == g.m, (n, p)
             assert copec_value(g, 2) == g.m - len(matching), (n, p)
+
+
+def connected_gnp(rng, n, p):
+    """A seeded G(n, p) draw, redrawn until it is connected."""
+    while True:
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < p])
+        if len(g.component_masks()) == 1:
+            return g
+
+
+def test_edge_value_at_tau_n_minus_1_is_edge_connectivity():
+    # A connected graph fails at tau = n - 1 exactly when it is
+    # disconnected, so the value is the edge connectivity.  The DP grows
+    # every connected part there, about 3x per vertex, so the draws thin
+    # out above n = 14 and are sparse at n = 17-18.
+    rng = random.Random(2021)
+    cases = [(n, p) for n in range(4, 17) for p in (0.3, 0.6)
+             if n <= 14 or p == 0.3] + [(17, 0.12), (18, 0.12)]
+    for n, p in cases:
+        g = connected_gnp(rng, n, p)
+        assert copec_value(g, n - 1) == nx.edge_connectivity(
+            nx.Graph(g.edges())), (n, p)
+
+
+def test_vertex_value_at_tau_n_minus_2_finds_cut_vertices():
+    # At tau = n - 2 one removal suffices exactly when it splits a
+    # connected graph, and any two removals leave n - 2 vertices.
+    rng = random.Random(2022)
+    with_cut_vertex = 0
+    for n in range(3, MAX_VERTEX_SOLVER_VERTICES + 1):
+        for p in (0.15, 0.35, 0.7):
+            g = connected_gnp(rng, n, max(p, 2.5 / n))
+            cut_vertices = set(nx.articulation_points(nx.Graph(g.edges())))
+            with_cut_vertex += bool(cut_vertices)
+            assert copvc_value(g, n - 2) == (1 if cut_vertices else 2), (n, p)
+    assert with_cut_vertex > 10
 
 
 def test_vertex_search_matches_subset_scan():
