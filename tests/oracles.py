@@ -4,7 +4,9 @@ Everything here enumerates without pruning so that the production solvers
 have an independent baseline to match.
 """
 
+from collections import Counter
 from itertools import combinations, permutations
+from math import comb, factorial, gcd, lcm, prod
 
 from propconn.graph import Graph, Threshold
 
@@ -101,6 +103,50 @@ def brute_canonical_key(g: Graph) -> int:
         if best is None or key < best:
             best = key
     return best if best is not None else 0
+
+
+def _partitions(n: int, most: int):
+    """The partitions of n into parts of at most ``most``, largest first."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, most), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def polya_class_counts(n: int) -> list[int]:
+    """Classes of G(n, m) for m = 0..C(n,2), by Polya counting over the
+    action of S_n on vertex pairs (Harary and Palmer, "Graphical
+    Enumeration", ch. 4).
+
+    By Burnside, the count is the average over permutations of the edge
+    sets each one fixes, and a permutation fixes exactly the unions of its
+    cycles on pairs: with cycle lengths L it adds prod(1 + x^l, l in L).
+    Permutations with the same cycle type, n!/z of them, act alike.  A
+    k-cycle moves its own pairs in (k - 1)/2 cycles of length k when k is
+    odd, and in k/2 - 1 of length k plus one of length k/2 when k is even;
+    two k-cycles move the pairs between them in k cycles of length k; and
+    cycles of lengths a != b in gcd(a, b) cycles of length lcm(a, b).
+    """
+    top = comb(n, 2)
+    total = [0] * (top + 1)
+    for cycle_type in _partitions(n, n):
+        count = Counter(cycle_type)
+        lengths = []
+        for k, j in count.items():
+            lengths += [k] * ((k - 1) // 2 * j + k * comb(j, 2))
+            if k % 2 == 0:
+                lengths += [k // 2] * j
+        for (a, ja), (b, jb) in combinations(count.items(), 2):
+            lengths += [lcm(a, b)] * (gcd(a, b) * ja * jb)
+        fixed = [1] + [0] * top
+        for length in lengths:
+            for m in range(top, length - 1, -1):
+                fixed[m] += fixed[m - length]
+        weight = factorial(n) // prod(k ** j * factorial(j)
+                                      for k, j in count.items())
+        total = [t + weight * f for t, f in zip(total, fixed)]
+    return [t // factorial(n) for t in total]
 
 
 # The edge solver's former partition DP, which walks every submask of every

@@ -1,5 +1,9 @@
+import random
+import sys
 from fractions import Fraction
+from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +83,52 @@ def test_max_cut_part_is_lex_first_on_small_classes():
 def test_max_cut_part_is_lex_first_with_isolated_vertices(g):
     assert (max_bipartite_subgraph(g).partition[0]
             == brute_lex_first_max_cut_part(g))
+
+
+def test_max_cut_part_is_lex_first_on_dense_orders():
+    # The cap on the cut among the unassigned vertices binds deepest on
+    # dense graphs, where most of their pairs are edges.
+    rng = random.Random(27)
+    for n in range(9, 13):
+        pairs = list(combinations(range(n), 2))
+        dense = [Graph(n, [e for e in pairs if rng.random() < p])
+                 for p in (0.7, 0.9)]
+        # K_n minus a perfect matching (one vertex left over at odd n)
+        matching = complete(n).remove_edges(
+            [(v, v + 1) for v in range(0, n - 1, 2)])
+        for g in dense + [matching]:
+            assert (max_bipartite_subgraph(g).partition[0]
+                    == brute_lex_first_max_cut_part(g)), g
+
+
+def _search_calls(graphs):
+    """Calls of max_bipartite_subgraph's nested search over the graphs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if (event == "call" and code.co_name == "search"
+                and Path(code.co_filename).name == "bounds.py"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        for g in graphs:
+            max_bipartite_subgraph(g)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_max_cut_search_work_is_pinned():
+    # Search nodes over every class of G(7, .) and over K_2..K_16.  They
+    # move with the bound: capping the cut among k unassigned vertices at
+    # their edge count alone, not also at floor(k^2/4), gives 22,428 and
+    # 47,931.
+    classes = [g for m in range(comb(7, 2) + 1) for g in enumerate_gnm(7, m)]
+    assert _search_calls(classes) == 18124
+    assert _search_calls(complete(k) for k in range(2, 17)) == 9433
 
 
 def test_max_cut_size_bound():

@@ -10,13 +10,15 @@ from networkx.generators.atlas import graph_atlas_g
 from propconn.graph import (Graph, complete, complete_bipartite, cycle,
                             disjoint_union, edgeless, path)
 from propconn import enumeration
-from propconn.enumeration import (MAX_CANONICAL_VERTICES, canonical_graph,
-                                  canonical_key, count_classes, enumerate_gnm,
+from propconn.enumeration import (MAX_CANONICAL_VERTICES, MAX_ENUM_VERTICES,
+                                  canonical_graph, canonical_key,
+                                  count_classes, enumerate_gnm,
                                   family_profile, upper_triangle_key)
 from propconn.solver import copec_exact, copec_value
 
 from conftest import STANDARD_GRID, forget_family_profiles, graphs
-from oracles import all_labeled_graphs, brute_canonical_key
+from oracles import (all_labeled_graphs, brute_canonical_key,
+                     polya_class_counts)
 
 # classes of graphs with n vertices and m edges, from brute-force labeled
 # canonicalization for n <= 5 (see test_level_counts_match_labeled_brute_force)
@@ -57,6 +59,15 @@ def test_total_class_counts():
         counts = [count_classes(n, m) for m in range(comb(n, 2) + 1)]
         assert sum(counts) == total
         assert counts == LEVEL_COUNTS.get(n, counts), n
+
+
+def test_class_counts_match_polya_counting():
+    # Polya counting reaches every class count without a graph or a table.
+    for n in range(MAX_ENUM_VERTICES + 1):
+        assert polya_class_counts(n) == [
+            count_classes(n, m) for m in range(comb(n, 2) + 1)], n
+    assert sum(polya_class_counts(9)) == 274668
+    assert sum(polya_class_counts(10)) == 12005168
 
 
 def test_enumeration_rejects_large_n():
@@ -368,3 +379,58 @@ def test_family_profile_solves_only_the_measure_read(monkeypatch):
     for n, m in ((9, 0), (4, 7)):
         with pytest.raises(ValueError):
             family_profile(n, m, Fraction(1, 2))
+
+
+def check_family_net(n):
+    """Check three facts over every class of G(n, .), at every tau from 1
+    to n - 1 and for both measures, and return the number of parent pairs
+    checked, summed over tau.
+
+    - value(P) - 1 <= value(G) <= value(P) for each class G and each class
+      P = G + e one level up in the same labels: the keys c of G and
+      c | 2^b of P, for a 0 bit b of c (the relation edge values are
+      inherited along).
+    - The vertex value is at most the edge value: removing one end of each
+      edge of a minimum cut leaves a failure state.
+    - Neither value rises from tau to tau + 1: a failure state at tau is one
+      at tau + 1.
+    """
+    top = comb(n, 2)
+    full = (1 << top) - 1
+    previous = None  # key -> values at tau - 1
+    pairs = 0
+    for tau in range(1, n):
+        r = Fraction(tau, n)
+        # canonical key -> (vertex value, edge value), levels m + 1 and up
+        values = {}
+        for m in reversed(range(top + 1)):
+            profile = family_profile(n, m, r)
+            assert profile.tau == tau
+            level = dict(zip(enumeration._level(n, m),
+                             zip(profile.vertex_values, profile.edge_values)))
+            for key, (vertex, edge) in level.items():
+                assert vertex <= edge, (n, m, tau, key)
+                free = ~key & full
+                while free:
+                    bit = free & -free
+                    free ^= bit
+                    parent = values.get(key | bit)
+                    if parent is not None:
+                        pairs += 1
+                        assert parent[0] - 1 <= vertex <= parent[0], \
+                            (n, m, tau, key, bit)
+                        assert parent[1] - 1 <= edge <= parent[1], \
+                            (n, m, tau, key, bit)
+                if previous is not None:
+                    assert (vertex <= previous[key][0]
+                            and edge <= previous[key][1]), \
+                        (n, m, tau, key)
+            values.update(level)
+        previous = values
+    return pairs
+
+
+def test_family_net_over_g7():
+    # 2,405 parent pairs at each of the six taus.  CI runs the same check
+    # over G(8, .): 39,760 pairs per tau, 278,320 in all.
+    assert check_family_net(7) == 14430
