@@ -20,7 +20,7 @@ from math import comb
 
 from .graph import MAX_VERTICES, Threshold, parse_proportion
 from .solver import MAX_EDGE_SOLVER_VERTICES, copvc_exact, copec_exact
-from .formulas import ClassSpec, formula_vs_oracle, formulas_for
+from .formulas import FORMULAS, ClassSpec, formula_vs_oracle, formulas_for
 from . import families
 from .enumeration import MAX_ENUM_VERTICES
 from .bounds import check_coemax_upper_bound, check_equal_partition_conjecture
@@ -31,14 +31,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_DISCREPANCY = 3
-
-_CLI_CLASS_NAMES = {
-    "path": "path",
-    "cycle": "cycle",
-    "complete": "complete",
-    "complete-bipartite": "complete_bipartite",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -73,7 +65,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("formula", help="closed-form value for a graph class")
     p.add_argument("--class", dest="family", required=True,
-                   choices=sorted(_CLI_CLASS_NAMES))
+                   choices=sorted({family.replace("_", "-")
+                                   for family, _ in FORMULAS}))
     p.add_argument("--n", type=int)
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
@@ -143,18 +136,13 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_formula(args) -> int:
-    family = _CLI_CLASS_NAMES[args.family]
-    inputs = {"class": args.family, "r": fraction_str(args.r), "mode": args.mode}
-    if family == "complete_bipartite":
-        if args.a is None or args.b is None:
-            raise _UsageError("complete-bipartite needs --a and --b")
-        spec = ClassSpec(family, a=args.a, b=args.b)
-        inputs.update(a=args.a, b=args.b)
-    else:
-        if args.n is None:
-            raise _UsageError(f"--n is required for class {family}")
-        spec = ClassSpec(family, n=args.n)
-        inputs.update(n=args.n)
+    spec = ClassSpec(args.family.replace("-", "_"), args.n, args.a, args.b)
+    flags = ("a", "b") if len(spec.args) == 2 else ("n",)
+    if None in spec.args:
+        raise _UsageError(f"class {args.family} needs "
+                          + " and ".join(f"--{flag}" for flag in flags))
+    inputs = {"class": args.family, "r": fraction_str(args.r),
+              "mode": args.mode, **dict(zip(flags, spec.args))}
     results = formulas_for(spec, args.r, args.mode)
     report = build_report("formula", inputs, results[0].value,
                           method=results[0].formula_id)
@@ -235,20 +223,22 @@ def _cmd_scan(args) -> int:
 
 
 def _verify_entries(n_max: int, grid: list[Fraction]):
+    """The formula_vs_oracle entry of every candidate instance and mode on
+    the grid that has a closed form (``formulas_for`` decides)."""
     for r in grid:
         for n in range(2, n_max + 1):
-            tau = Threshold.for_order(r, n).tau
-            for mode in ("vertex", "edge"):
-                if tau >= 1:
-                    yield formula_vs_oracle(ClassSpec("path", n=n), r, mode)
-                if n >= 3 and tau >= 1:
-                    yield formula_vs_oracle(ClassSpec("cycle", n=n), r, mode)
-                if mode == "vertex" or tau >= 1:
-                    yield formula_vs_oracle(ClassSpec("complete", n=n), r, mode)
-            if tau >= 1:
-                for a in range(1, n // 2 + 1):
-                    yield formula_vs_oracle(
-                        ClassSpec("complete_bipartite", a=a, b=n - a), r, "vertex")
+            candidates = [(ClassSpec(family, n=n), mode)
+                          for mode in ("vertex", "edge")
+                          for family in ("path", "cycle", "complete")]
+            candidates += [(ClassSpec("complete_bipartite", a=a, b=n - a), mode)
+                           for a in range(1, n // 2 + 1)
+                           for mode in ("vertex", "edge")]
+            for spec, mode in candidates:
+                try:
+                    formulas_for(spec, r, mode)
+                except ValueError:
+                    continue
+                yield formula_vs_oracle(spec, r, mode)
 
 
 def _cmd_verify(args) -> int:

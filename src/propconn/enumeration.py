@@ -1,13 +1,13 @@
 """Isomorphism-class enumeration of small graphs.
 
 Classes are identified by a canonical form: the minimum, over all vertex
-orderings, of the upper-triangle adjacency bitstring read column-major (the
-same bit order graph6 uses).  The minimum is built one column at a time: a
-prefix of the ordering leaves each unplaced vertex a next column (its
-adjacency bits to the placed vertices), and the search keeps, level by
-level, only the prefixes whose columns so far are minimal.  Prefixes that
-leave the same vertices with the same next columns have identical futures,
-so each such state is kept once.  Twins u < w, whose neighbourhoods agree
+orderings, of ``graph.upper_triangle_key``, the upper-triangle adjacency
+bits read column-major that graph6 writes in base 64.  The minimum is
+built one column at a time: a prefix of the ordering leaves each unplaced
+vertex a next column (its adjacency bits to the placed vertices), and the
+search keeps, level by level, only the prefixes whose columns so far are
+minimal.  Prefixes that leave the same vertices with the same next columns
+have identical futures, so each such state is kept once.  Twins u < w, whose neighbourhoods agree
 apart from each other, can trade places in any ordering without changing
 its key, so the search places each twin class in label order only: a
 state holds the lowest unplaced member of each class, not the whole class.
@@ -43,11 +43,11 @@ changes only how many classes are solved.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .graph import Graph, Threshold, complete
+from .graph import (Graph, Threshold, complete, key_pairs,
+                    upper_triangle_key)
 from .solver import copvc_value, copec_exact
 
 MAX_ENUM_VERTICES = 8
@@ -105,17 +105,6 @@ def _canonical_order(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     return frontier[()]
 
 
-def upper_triangle_key(g: Graph) -> int:
-    """Column-major upper-triangle bits of g as an integer (graph6 bit order)."""
-    key = 0
-    for j in range(1, g.n):
-        col = 0
-        for i in range(j):
-            col = (col << 1) | (g.rows[i] >> j & 1)
-        key = (key << j) | col
-    return key
-
-
 def canonical_graph(g: Graph) -> Graph:
     """Representative of g's isomorphism class under the minimal ordering.
     Raises ValueError, before any search, when g has more than
@@ -128,13 +117,6 @@ def canonical_graph(g: Graph) -> Graph:
 
 def canonical_key(g: Graph) -> int:
     return upper_triangle_key(canonical_graph(g))
-
-
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """pairs[p] is the vertex pair at bit p of an n-vertex key."""
-    return tuple((i, j) for j in range(n - 1, 0, -1)
-                 for i in range(j - 1, -1, -1))
 
 
 # n -> {m: {canonical key: canonical graph} of G(n, m), in key order},
@@ -172,7 +154,7 @@ def _level(n: int, m: int) -> dict[int, Graph]:
                 cg = canonical_graph(g.complement())
                 found[upper_triangle_key(cg)] = cg
         else:
-            pairs = _pairs(n)
+            pairs = key_pairs(n)
             for key, parent in _level(n, m + 1).items():
                 # p runs over the trailing run of 1s of the key
                 for p in range((key ^ (key + 1)).bit_length() - 1):
@@ -249,7 +231,7 @@ def _edge_values(n: int, m: int, r: Fraction, tau: int) -> tuple[int, ...]:
     level, parent_cuts = _CUTS.get((n, tau), (None, {}))
     if level != m + 1:
         parent_cuts = {}
-    bit_of = {pair: 1 << p for p, pair in enumerate(_pairs(n))}
+    bit_of = {pair: 1 << p for p, pair in enumerate(key_pairs(n))}
     full = (1 << comb(n, 2)) - 1
     cuts = {}
     for key, g in _level(n, m).items():

@@ -5,8 +5,9 @@ line per edge; blank lines and lines starting with '#' are ignored, and
 output always writes u < v.
 
 graph6: one printable ASCII line per graph, order byte chr(n+63) for
-n <= 62 followed by the upper-triangle adjacency bits in column-major
-order, packed 6 bits per character and offset by 63.
+n <= 62 followed by the graph's key (``graph.upper_triangle_key``, the
+upper-triangle adjacency bits in column-major order) in base 64, 6 bits
+per character offset by 63.
 """
 
 import csv
@@ -14,7 +15,7 @@ import json
 from fractions import Fraction
 from math import comb
 
-from .graph import Graph, MAX_VERTICES
+from .graph import Graph, MAX_VERTICES, key_pairs, upper_triangle_key
 
 GRAPH6_MAX_VERTICES = 62
 
@@ -68,44 +69,33 @@ def parse_graph6(line: str) -> Graph:
     n = codes[0]
     if n == 63:
         raise ValueError("multi-byte graph6 orders (n > 62) are not supported")
-    bits_needed = comb(n, 2)
-    chars_needed = -(-bits_needed // 6)
-    if len(codes) - 1 < chars_needed:
+    bits = comb(n, 2)
+    chars = -(-bits // 6)
+    if len(codes) - 1 < chars:
         raise ValueError("truncated graph6 bit string")
-    if len(codes) - 1 > chars_needed:
+    if len(codes) - 1 > chars:
         raise ValueError("trailing characters after graph6 bit string")
-    bits = []
+    key = 0
     for c in codes[1:]:
-        for shift in range(5, -1, -1):
-            bits.append(c >> shift & 1)
-    if any(bits[bits_needed:]):
+        key = key << 6 | c
+    pad = 6 * chars - bits
+    if key & (1 << pad) - 1:
         raise ValueError("nonzero padding in graph6 bit string")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+    key >>= pad
+    return Graph(n, [pair for p, pair in enumerate(key_pairs(n))
+                     if key >> p & 1])
 
 
 def encode_graph6(g: Graph) -> str:
+    """The order byte, then g's ``upper_triangle_key`` in base 64, padded
+    with 0 bits to whole 6-bit characters, most significant first."""
     if g.n > GRAPH6_MAX_VERTICES:
         raise ValueError(f"graph6 encoding supports n <= {GRAPH6_MAX_VERTICES}")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(g.rows[i] >> j & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        value = 0
-        for bit in bits[k:k + 6]:
-            value = (value << 1) | bit
-        chars.append(chr(value + 63))
-    return "".join(chars)
+    bits = comb(g.n, 2)
+    chars = -(-bits // 6)
+    key = upper_triangle_key(g) << 6 * chars - bits
+    return chr(g.n + 63) + "".join([chr((key >> 6 * k & 63) + 63)
+                                    for k in range(chars - 1, -1, -1)])
 
 
 def fraction_str(r: Fraction) -> str:

@@ -2,6 +2,12 @@
 bipartite graphs, and the harness that adjudicates each formula against the
 exact solver.
 
+``FORMULAS`` maps each (family, mode) to its closed forms, the reported one
+first; ``formulas_for``, the ``formula`` and ``verify`` commands and the
+harness all read it, and a pair it does not list has no closed form.  Each
+form checks its own domain through one guard, ``_tau``, and raises
+ValueError outside it.
+
 The cycle values ship in two variants each.  For vertex removal the
 ``reduced_order`` variant recomputes the admissible order from n-1 (the
 order after one deletion) while the ``original_order`` variant keeps the
@@ -29,6 +35,9 @@ PROVEN_FORMULAS = frozenset({
     "complete_bipartite_vertex",
 })
 
+_BUILDERS = {"path": path, "cycle": cycle, "complete": complete,
+             "complete_bipartite": complete_bipartite}
+
 
 class FormulaResult(NamedTuple):
     value: int
@@ -44,115 +53,107 @@ class ClassSpec(NamedTuple):
     a: int | None = None
     b: int | None = None
 
-    def build(self) -> Graph:
-        if self.family == "path":
-            return path(self.n)
-        if self.family == "cycle":
-            return cycle(self.n)
-        if self.family == "complete":
-            return complete(self.n)
+    @property
+    def args(self) -> tuple:
+        """The arguments of the family's builder and closed forms, before
+        r: (a, b) for complete_bipartite, (n,) for the other families."""
         if self.family == "complete_bipartite":
-            return complete_bipartite(self.a, self.b)
-        raise ValueError(f"unknown graph family {self.family!r}")
+            return (self.a, self.b)
+        return (self.n,)
+
+    def build(self) -> Graph:
+        return _BUILDERS[self.family](*self.args)
 
     @property
     def order(self) -> int:
-        return self.n if self.n is not None else self.a + self.b
+        return sum(self.args)
 
 
-def _tau(r: Fraction, n: int) -> int:
-    return Threshold.for_order(r, n).tau
-
-
-def _require_positive_tau(tau: int, formula_id: str) -> None:
-    if tau < 1:
-        raise ValueError(f"{formula_id} requires floor(r*n) >= 1")
+def _tau(r: Fraction, n: int, formula_id: str, tau_min: int = 1,
+         fits: bool = True, domain: str = "") -> int:
+    """floor(r*n) for an instance of a closed form.  Raises ValueError when
+    the instance is outside the form's domain: when ``fits`` is false
+    (``domain`` says why), when n < 1 (``Threshold.for_order``), or when
+    floor(r*n) < tau_min."""
+    if not fits:
+        raise ValueError(domain)
+    tau = Threshold.for_order(r, n).tau
+    if tau < tau_min:
+        raise ValueError(f"{formula_id} requires floor(r*n) >= {tau_min}")
+    return tau
 
 
 def copvc_path(n: int, r: Fraction) -> FormulaResult:
     """floor(n / (floor(r*n) + 1)) vertices disconnect a path."""
-    if n < 1:
-        raise ValueError("path needs n >= 1")
-    tau = _tau(r, n)
-    _require_positive_tau(tau, "path_vertex")
+    tau = _tau(r, n, "path_vertex")
     return FormulaResult(n // (tau + 1), "path_vertex", tau)
 
 
 def copvc_cycle(n: int, r: Fraction) -> FormulaResult:
     """Reduced-order cycle variant: threshold recomputed from n-1."""
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
-    tau = _tau(r, n)
-    _require_positive_tau(tau, "cycle_vertex")
-    reduced = _tau(r, n - 1)
+    tau = _tau(r, n, "cycle_vertex", fits=n >= 3, domain="cycle needs n >= 3")
+    reduced = Threshold.for_order(r, n - 1).tau
     return FormulaResult((n - 1) // (reduced + 1) + 1,
                          "cycle_vertex_reduced_order", tau)
 
 
 def copvc_cycle_original_order(n: int, r: Fraction) -> FormulaResult:
     """Cycle variant keeping the threshold at floor(r*n)."""
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
-    tau = _tau(r, n)
-    _require_positive_tau(tau, "cycle_vertex")
+    tau = _tau(r, n, "cycle_vertex", fits=n >= 3, domain="cycle needs n >= 3")
     return FormulaResult((n - 1) // (tau + 1) + 1,
                          "cycle_vertex_original_order", tau)
 
 
 def copvc_complete(n: int, r: Fraction) -> FormulaResult:
     """n - floor(r*n): complete graphs shrink but never disconnect."""
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
-    tau = _tau(r, n)
+    tau = _tau(r, n, "complete_vertex", tau_min=0)
     return FormulaResult(n - tau, "complete_vertex", tau)
 
 
 def copvc_complete_bipartite(a: int, b: int, r: Fraction) -> FormulaResult:
     """min(a, a+b-floor(r*n)) with a <= b and n = a+b."""
-    if not 1 <= a <= b:
-        raise ValueError("complete bipartite needs 1 <= a <= b")
-    n = a + b
-    tau = _tau(r, n)
-    _require_positive_tau(tau, "complete_bipartite_vertex")
-    return FormulaResult(min(a, n - tau), "complete_bipartite_vertex", tau)
+    tau = _tau(r, a + b, "complete_bipartite_vertex", fits=1 <= a <= b,
+               domain="complete bipartite needs 1 <= a <= b")
+    return FormulaResult(min(a, a + b - tau), "complete_bipartite_vertex", tau)
 
 
 def copec_path(n: int, r: Fraction) -> FormulaResult:
     """floor((n-1) / floor(r*n)) edges disconnect a path."""
-    if n < 1:
-        raise ValueError("path needs n >= 1")
-    tau = _tau(r, n)
-    _require_positive_tau(tau, "path_edge")
+    tau = _tau(r, n, "path_edge")
     return FormulaResult((n - 1) // tau, "path_edge", tau)
 
 
 def copec_cycle(n: int, r: Fraction) -> FormulaResult:
     """Path-reduction cycle variant: one cut plus the path value."""
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
-    tau = _tau(r, n)
-    _require_positive_tau(tau, "cycle_edge")
+    tau = _tau(r, n, "cycle_edge", fits=n >= 3, domain="cycle needs n >= 3")
     return FormulaResult((n - 1) // tau + 1, "cycle_edge_path_reduction", tau)
 
 
 def copec_cycle_arc_cover(n: int, r: Fraction) -> FormulaResult:
     """Cycle variant counting arcs directly: ceil(n / floor(r*n))."""
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
-    tau = _tau(r, n)
-    _require_positive_tau(tau, "cycle_edge")
+    tau = _tau(r, n, "cycle_edge", fits=n >= 3, domain="cycle needs n >= 3")
     return FormulaResult(-(-n // tau), "cycle_edge_arc_cover", tau)
 
 
 def copec_complete(n: int, r: Fraction) -> FormulaResult:
     """C(n,2) - p*C(tau,2) - C(q,2) with n = p*tau + q, 0 <= q < tau."""
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
-    tau = _tau(r, n)
-    _require_positive_tau(tau, "complete_edge")
+    tau = _tau(r, n, "complete_edge")
     p, q = divmod(n, tau)
     return FormulaResult(comb(n, 2) - p * comb(tau, 2) - comb(q, 2),
                          "complete_edge", tau)
+
+
+# (family, mode) -> its closed forms, the one ``propconn formula`` reports
+# first; cycles keep both variants.
+FORMULAS = {
+    ("path", "vertex"): (copvc_path,),
+    ("path", "edge"): (copec_path,),
+    ("cycle", "vertex"): (copvc_cycle_original_order, copvc_cycle),
+    ("cycle", "edge"): (copec_cycle_arc_cover, copec_cycle),
+    ("complete", "vertex"): (copvc_complete,),
+    ("complete", "edge"): (copec_complete,),
+    ("complete_bipartite", "vertex"): (copvc_complete_bipartite,),
+}
 
 
 class FormulaCheck(NamedTuple):
@@ -186,39 +187,24 @@ class DiscrepancyEntry(NamedTuple):
 
 
 def formulas_for(spec: ClassSpec, r: Fraction, mode: str) -> list[FormulaResult]:
-    """The closed form(s) for one class instance and mode.  Cycles give
-    both variants; ``propconn formula`` reports the first as the value."""
-    if spec.family == "path":
-        return [copvc_path(spec.n, r) if mode == "vertex" else copec_path(spec.n, r)]
-    if spec.family == "cycle":
-        if mode == "vertex":
-            return [copvc_cycle_original_order(spec.n, r), copvc_cycle(spec.n, r)]
-        return [copec_cycle_arc_cover(spec.n, r), copec_cycle(spec.n, r)]
-    if spec.family == "complete":
-        return [copvc_complete(spec.n, r) if mode == "vertex"
-                else copec_complete(spec.n, r)]
-    if spec.family == "complete_bipartite":
-        if mode == "vertex":
-            return [copvc_complete_bipartite(spec.a, spec.b, r)]
-        raise ValueError("no closed form for complete bipartite edge removal; "
-                         "use the exact solver")
-    raise ValueError(f"unknown graph family {spec.family!r}")
+    """The closed forms of one class instance and mode, in ``FORMULAS``
+    order.  Raises ValueError, before any solve, when the pair has no
+    closed form or the instance is outside the forms' domain."""
+    forms = FORMULAS.get((spec.family, mode))
+    if forms is None:
+        raise ValueError(f"no closed form for {spec.family.replace('_', ' ')} "
+                         f"{mode} removal; use the exact solver")
+    return [form(*spec.args, r) for form in forms]
 
 
 def formula_vs_oracle(spec: ClassSpec, r: Fraction, mode: str) -> DiscrepancyEntry:
-    """Run the matching formula(s) and the exact solver on a concrete
-    instance and record both sides.  Cycle entries carry both variants."""
-    g = spec.build()
-    tau = _tau(r, g.n)
-    if mode == "vertex":
-        oracle = copvc_value(g, tau)
-    elif mode == "edge":
-        oracle = copec_value(g, tau)
-    else:
-        raise ValueError(f"mode must be 'vertex' or 'edge', got {mode!r}")
-    checks = tuple(
+    """Run the instance's closed forms, then the exact solver, and record
+    both sides.  The forms come first, so an instance without one raises
+    ValueError before the graph is built or solved."""
+    forms = formulas_for(spec, r, mode)
+    solve = copvc_value if mode == "vertex" else copec_value
+    oracle = solve(spec.build(), forms[0].tau)
+    return DiscrepancyEntry(spec, r, mode, oracle, tuple(
         FormulaCheck(f.formula_id, f.value, f.value == oracle,
                      f.formula_id in PROVEN_FORMULAS)
-        for f in formulas_for(spec, r, mode)
-    )
-    return DiscrepancyEntry(spec, r, mode, oracle, checks)
+        for f in forms))

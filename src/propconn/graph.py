@@ -8,6 +8,7 @@ between threads.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 MAX_VERTICES = 64
@@ -238,6 +239,26 @@ class Graph:
         order > tau (see ``oversized_part``); the empty graph is vacuously
         failed."""
         return not self.oversized_part(tau, within)
+
+
+def upper_triangle_key(g: Graph) -> int:
+    """g's upper-triangle adjacency bits read column-major, (0, 1), (0, 2),
+    (1, 2), (0, 3), ..., the first pair at the highest bit: pair (i, j),
+    i < j, is bit C(n,2) - 1 - C(j,2) - i.  This module owns that bit
+    order; the canonical form minimizes this key, and graph6 writes it in
+    base 64."""
+    key = 0
+    for j, row in enumerate(g.rows):
+        for i in range(j):
+            key = key << 1 | row >> i & 1
+    return key
+
+
+@lru_cache(maxsize=None)
+def key_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """key_pairs(n)[p] is the vertex pair at bit p of an n-vertex key."""
+    return tuple((i, j) for j in range(n - 1, 0, -1)
+                 for i in range(j - 1, -1, -1))
 
 
 def edgeless(n: int) -> Graph:

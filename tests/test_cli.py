@@ -270,6 +270,24 @@ def test_verify_exits_clean_on_proven_formulas(capsys):
     assert report["piecewise_mismatches"]
 
 
+def test_verify_entries_are_pinned(capsys):
+    # README's adjudication table: which instances verify checks is decided
+    # by the closed forms' own domains, and these counts and labels pin it.
+    code, out, _ = run(capsys, "verify", "--n-max", "8",
+                       "--r-grid", "1/4,1/3,1/2,2/3,3/4")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["checked"] == 266 and report["failed_proven"] == []
+    assert len(report["piecewise_mismatches"]) == 113
+    assert [w["instance"] for w in report["reported_variants"]] == [
+        "cycle(n=4, r=1/4, vertex)", "cycle(n=8, r=1/4, vertex)",
+        "cycle(n=3, r=1/3, vertex)", "cycle(n=6, r=1/3, vertex)",
+        "cycle(n=3, r=2/3, vertex)", "cycle(n=3, r=3/4, vertex)",
+        "cycle(n=4, r=3/4, vertex)"]
+    assert {w["formula"] for w in report["reported_variants"]} == {
+        "cycle_vertex_reduced_order"}
+
+
 def test_verify_rejects_n_max_over_edge_solver_bound(capsys):
     n_max = str(MAX_EDGE_SOLVER_VERTICES + 1)
     code, out, err = run(capsys, "verify", "--n-max", n_max, "--r-grid", "1/2")

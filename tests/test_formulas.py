@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from propconn import formulas
 from propconn.formulas import (ClassSpec, copec_complete, copec_cycle,
                                copec_cycle_arc_cover, copec_path,
                                copvc_complete, copvc_complete_bipartite,
@@ -151,6 +152,21 @@ def test_cycle_harness_never_asserted_away():
 def test_bipartite_edge_has_no_formula():
     with pytest.raises(ValueError):
         formula_vs_oracle(ClassSpec("complete_bipartite", a=2, b=2), HALF, "edge")
+
+
+def test_formula_vs_oracle_looks_up_forms_before_solving(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solver called for an instance with no form")
+
+    monkeypatch.setattr(formulas, "copec_value", no_solve)
+    monkeypatch.setattr(formulas, "copvc_value", no_solve)
+    with pytest.raises(ValueError, match="no closed form"):
+        formula_vs_oracle(ClassSpec("complete_bipartite", a=2, b=2), HALF, "edge")
+    # outside a form's domain: floor(r*n) = 0, and a cycle on two vertices
+    with pytest.raises(ValueError, match="floor"):
+        formula_vs_oracle(ClassSpec("path", n=3), Fraction(1, 4), "vertex")
+    with pytest.raises(ValueError, match="n >= 3"):
+        formula_vs_oracle(ClassSpec("cycle", n=2), HALF, "edge")
 
 
 def test_path_and_cycle_edge_formulas_at_fifteen_to_eighteen():
