@@ -24,7 +24,7 @@ from .families import (PQDecomposition, ExtremalResult, max_failure_edges,
                        build_max_failure_state, covmin_threshold_f, covmin,
                        covmin_piecewise_crosscheck, coemin, covmax_tail,
                        coemax_tail, complete_minus_two_disjoint_edges,
-                       extremal_by_enumeration)
+                       extremal_by_enumeration, covmin_witness, coemin_witness)
 from .enumeration import (MAX_ENUM_VERTICES, MAX_CANONICAL_VERTICES,
                           FamilyProfile, canonical_graph, canonical_key,
                           enumerate_gnm, count_classes, family_profile,
@@ -55,6 +55,7 @@ __all__ = [
     "build_max_failure_state", "covmin_threshold_f", "covmin",
     "covmin_piecewise_crosscheck", "coemin", "covmax_tail", "coemax_tail",
     "complete_minus_two_disjoint_edges", "extremal_by_enumeration",
+    "covmin_witness", "coemin_witness",
     "MAX_ENUM_VERTICES", "MAX_CANONICAL_VERTICES", "FamilyProfile",
     "canonical_graph", "canonical_key",
     "enumerate_gnm", "count_classes", "family_profile", "upper_triangle_key",

@@ -153,32 +153,31 @@ def _cmd_formula(args) -> int:
 
 
 def _stat_value(stat: str, n: int, m: int, r: Fraction, enumerate_: bool):
-    """(value, method, witness, truth, mismatch, code) of a family statistic
+    """(value, method, truth, mismatch, code) of a family statistic
     as ``extremal`` and ``scan`` report it: the closed form or tail value
     (None where unknown), the enumeration truth when asked for, and whether
     both are known and differ.  A mismatch exits with EXIT_DISCREPANCY only
     for covmin and coemin, whose closed forms are settled."""
     if stat in ("covmin", "coemin"):
-        res = (families.covmin if stat == "covmin" else families.coemin)(n, m, r)
-        value, method, witness = res.value, "formula", res.witness
+        value, method = getattr(families, stat)(n, m, r), "formula"
     else:
-        value = (families.covmax_tail if stat == "covmax"
-                 else families.coemax_tail)(n, m, r)
-        method, witness = "tail" if value is not None else "unknown", None
+        value = getattr(families, f"{stat}_tail")(n, m, r)
+        method = "tail" if value is not None else "unknown"
     truth = families.extremal_by_enumeration(n, m, r, stat) if enumerate_ else None
     mismatch = truth is not None and value is not None and truth.value != value
     code = EXIT_DISCREPANCY if mismatch and stat in ("covmin", "coemin") else EXIT_OK
-    return value, method, witness, truth, mismatch, code
+    return value, method, truth, mismatch, code
 
 
 def _cmd_extremal(args) -> int:
     n, m, r, stat = args.n, args.m, args.r, args.stat
-    value, method, witness, truth, mismatch, code = _stat_value(
+    value, method, truth, mismatch, code = _stat_value(
         stat, n, m, r, args.enumerate_)
     inputs = {"n": n, "m": m, "r": fraction_str(r), "stat": stat}
     report = build_report("extremal", inputs, value, method=method)
-    if witness is not None:
-        report["witness"] = encode_graph6(witness)
+    if method == "formula":
+        report["witness"] = encode_graph6(
+            getattr(families, f"{stat}_witness")(n, m, r))
     if truth is not None:
         report["enumeration"] = {"value": truth.value,
                                  "witness": encode_graph6(truth.witness)}
@@ -194,6 +193,8 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_scan(args) -> int:
     n, r, stat = args.n, args.r, args.stat
+    if n > MAX_VERTICES:
+        raise _UsageError(f"--n {n} exceeds the graph order bound {MAX_VERTICES}")
     rows = []
     code = EXIT_OK
     # Solved from m = C(n, 2) down, so that enumerated edge values inherit
@@ -201,14 +202,17 @@ def _cmd_scan(args) -> int:
     # in ascending m.
     ms = range(comb(n, 2) + 1)
     results = [_stat_value(stat, n, m, r, args.enumerate_) for m in reversed(ms)]
-    for m, (value, method, witness, truth, mismatch, m_code) in zip(
+    for m, (value, method, truth, mismatch, m_code) in zip(
             ms, reversed(results)):
         if mismatch:
             print(f"mismatch at m={m}: formula {value}, "
                   f"enumeration {truth.value}", file=sys.stderr)
         code = max(code, m_code)
+        witness = None
         if truth is not None:
             value, method, witness = truth.value, "enumeration", truth.witness
+        elif args.witness and method == "formula":
+            witness = getattr(families, f"{stat}_witness")(n, m, r)
         rows.append({
             "n": n, "m": m, "r": fraction_str(r), "stat": stat,
             "value": "" if value is None else value,
@@ -275,7 +279,7 @@ def _cmd_verify(args) -> int:
             if Threshold.for_order(r, n).tau < 1:
                 continue
             for m in range(comb(n, 2) + 1):
-                scan = families.covmin(n, m, r).value
+                scan = families.covmin(n, m, r)
                 alt = families.covmin_piecewise_crosscheck(n, m, r)
                 if alt != scan:
                     piecewise.append({"n": n, "m": m, "r": fraction_str(r),

@@ -5,7 +5,9 @@ The four statistics are the minimum and maximum of the vertex and edge
 disconnection numbers over the family (covmin, covmax, coemin, coemax).
 covmin and coemin have closed forms built on the densest failure state;
 covmax and coemax only have known values in their tail regions, with the
-middle left to exact enumeration.
+middle left to exact enumeration.  covmin, coemin and the two tails
+return values alone, by arithmetic; covmin_witness and coemin_witness build
+a canonical graph attaining the closed form, within canonical_graph's bound.
 """
 
 from fractions import Fraction
@@ -43,8 +45,7 @@ class ExtremalResult(NamedTuple):
     m: int
     r: Fraction
     value: int
-    method: str                    # formula | tail | enumeration
-    witness: Graph | None = None
+    witness: Graph
 
 
 def _check_m(n: int, m: int) -> None:
@@ -52,59 +53,57 @@ def _check_m(n: int, m: int) -> None:
         raise ValueError(f"m={m} out of range for n={n}")
 
 
+def _failure_edges(order: int, tau: int) -> int:
+    p, q = divmod(order, tau)
+    return p * comb(tau, 2) + comb(q, 2)
+
+
+def _failure_state(order: int, tau: int) -> Graph:
+    p, q = divmod(order, tau)
+    return disjoint_union(*([complete(tau)] * p + [complete(q)]))
+
+
 def max_failure_edges(n: int, r: Fraction) -> int:
     """Most edges a failed graph of order n can carry:
     p*C(tau,2) + C(q,2)."""
-    d = PQDecomposition.of(n, r)
-    return d.p * comb(d.tau, 2) + comb(d.q, 2)
+    return _failure_edges(n, PQDecomposition.of(n, r).tau)
 
 
 def build_max_failure_state(n: int, r: Fraction) -> Graph:
     """The densest failed graph: p disjoint copies of K_tau plus K_q."""
-    d = PQDecomposition.of(n, r)
-    return disjoint_union(*([complete(d.tau)] * d.p + [complete(d.q)]))
+    return _failure_state(n, PQDecomposition.of(n, r).tau)
 
 
 def covmin_threshold_f(k: int, n: int, r: Fraction) -> int:
     """Edge budget f(k) below which the family minimum vertex value stays
     at most k: a k-clique joined to everything plus the densest failure
     state on the other n-k vertices."""
-    d = PQDecomposition.of(n, r)
-    if not 0 <= k <= n - d.tau:
-        raise ValueError(f"k={k} out of range [0, {n - d.tau}]")
-    p2, q2 = divmod(n - k, d.tau)
-    return k * (n - k) + comb(k, 2) + p2 * comb(d.tau, 2) + comb(q2, 2)
-
-
-def _strip_edges(g: Graph, surplus: int) -> Graph:
-    """Delete ``surplus`` edges, largest pairs first, deterministically."""
-    if surplus:
-        g = g.remove_edges(g.edges()[-surplus:])
-    return g
-
-
-def _covmin_witness(n: int, m: int, r: Fraction, k: int) -> Graph:
-    # Densest graph whose vertex value is exactly k: k dominating vertices
-    # (the join of K_k with the rest, built as the complement of a disjoint
-    # union of complements) over the densest failure state of the remaining
-    # n-k; stripping surplus edges keeps the value (deletion never raises
-    # it, and the family minimum at m edges bounds it from below).
     tau = PQDecomposition.of(n, r).tau
-    parts_p, parts_q = divmod(n - k, tau)
-    rest = disjoint_union(*([complete(tau)] * parts_p + [complete(parts_q)]))
-    base = disjoint_union(edgeless(k), rest.complement()).complement()
-    return canonical_graph(_strip_edges(base, base.m - m))
+    if not 0 <= k <= n - tau:
+        raise ValueError(f"k={k} out of range [0, {n - tau}]")
+    return k * (n - k) + comb(k, 2) + _failure_edges(n - k, tau)
 
 
-def covmin(n: int, m: int, r: Fraction) -> ExtremalResult:
+def covmin(n: int, m: int, r: Fraction) -> int:
     """Family minimum vertex value: the unique k with f(k-1) < m <= f(k),
     found by an ascending scan (0 when m <= f(0))."""
     _check_m(n, m)
     k = 0
     while m > covmin_threshold_f(k, n, r):
         k += 1
-    return ExtremalResult("covmin", n, m, r, k, "formula",
-                          _covmin_witness(n, m, r, k))
+    return k
+
+
+def covmin_witness(n: int, m: int, r: Fraction) -> Graph:
+    """Canonical graph of G(n, m) with vertex value k = covmin(n, m, r): the
+    first m edges of k dominating vertices (the complement of a disjoint
+    union of complements) joined to the densest failure state of the other
+    n-k.  Deletion never raises the value, and the family minimum at m
+    edges bounds it from below."""
+    k = covmin(n, m, r)
+    rest = _failure_state(n - k, PQDecomposition.of(n, r).tau)
+    base = disjoint_union(edgeless(k), rest.complement()).complement()
+    return canonical_graph(Graph(n, base.edges()[:m]))
 
 
 def covmin_piecewise_crosscheck(n: int, m: int, r: Fraction) -> int | None:
@@ -143,25 +142,19 @@ def covmin_piecewise_crosscheck(n: int, m: int, r: Fraction) -> int | None:
     return None
 
 
-def _coemin_witness(n: int, m: int, r: Fraction) -> Graph:
-    base = build_max_failure_state(n, r)
-    if m <= base.m:
-        return canonical_graph(_strip_edges(base, base.m - m))
-    g = base
-    for u, v in base.non_edges():
-        if g.m == m:
-            break
-        g = g.add_edge(u, v)
-    return canonical_graph(g)
-
-
-def coemin(n: int, m: int, r: Fraction) -> ExtremalResult:
+def coemin(n: int, m: int, r: Fraction) -> int:
     """Family minimum edge value: every edge beyond the densest failure
     state must be removed, and no fewer suffice."""
     _check_m(n, m)
-    value = max(0, m - max_failure_edges(n, r))
-    return ExtremalResult("coemin", n, m, r, value, "formula",
-                          _coemin_witness(n, m, r))
+    return max(0, m - max_failure_edges(n, r))
+
+
+def coemin_witness(n: int, m: int, r: Fraction) -> Graph:
+    """Canonical graph of G(n, m) whose edge value is coemin(n, m, r): the
+    densest failure state cut down, or filled up, to m edges."""
+    _check_m(n, m)
+    base = build_max_failure_state(n, r)
+    return canonical_graph(Graph(n, (base.edges() + base.non_edges())[:m]))
 
 
 def covmax_tail(n: int, m: int, r: Fraction) -> int | None:
@@ -222,4 +215,4 @@ def extremal_by_enumeration(n: int, m: int, r: Fraction,
     values = profile.vertex_values if stat.startswith("cov") else profile.edge_values
     value = min(values) if stat.endswith("min") else max(values)
     witness = next(g for g, v in zip(enumerate_gnm(n, m), values) if v == value)
-    return ExtremalResult(stat, n, m, r, value, "enumeration", witness)
+    return ExtremalResult(stat, n, m, r, value, witness)

@@ -163,7 +163,7 @@ def test_criterion_06_covmin_scan_full_sweep():
                 continue
             truth = _stat_table(n, r)["covmin"]
             for m in range(comb(n, 2) + 1):
-                assert covmin(n, m, r).value == truth[m], (n, m, r)
+                assert covmin(n, m, r) == truth[m], (n, m, r)
                 checked += 1
     elapsed = time.perf_counter() - start
     _line(6, elapsed < 1800.0,
@@ -179,7 +179,7 @@ def test_criterion_07_coemin_closed_form_full_sweep():
                 continue
             truth = _stat_table(n, r)["coemin"]
             for m in range(comb(n, 2) + 1):
-                assert coemin(n, m, r).value == truth[m], (n, m, r)
+                assert coemin(n, m, r) == truth[m], (n, m, r)
                 checked += 1
     _line(7, True, f"coemin closed form == enumeration on {checked} "
                    f"(n, m, r) triples")

@@ -1,5 +1,7 @@
 import csv
 import json
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -181,6 +183,8 @@ def test_scan_tail_leaves_unknown_blank(tmp_path, capsys):
 
 def test_closed_form_over_canonical_bound_exits_before_writing(tmp_path,
                                                                capsys):
+    # Only a printed witness needs a canonical search; the values are
+    # arithmetic, so a value-only scan runs up to the graph order bound.
     n = str(MAX_CANONICAL_VERTICES + 1)
     out_file = tmp_path / "scan.csv"
     for stat in ("covmin", "coemin"):
@@ -189,10 +193,62 @@ def test_closed_form_over_canonical_bound_exits_before_writing(tmp_path,
         assert code == EXIT_USAGE
         assert out == "" and "canonical search supports" in err
         code, out, err = run(capsys, "scan", "--n", n, "--r", "1/2",
-                             "--stat", stat, "--all-m", "--out", str(out_file))
+                             "--stat", stat, "--all-m", "--witness",
+                             "--out", str(out_file))
         assert code == EXIT_USAGE
         assert out == "" and "canonical search supports" in err
         assert not out_file.exists()
+        for order in (MAX_CANONICAL_VERTICES + 1, MAX_VERTICES):
+            code, out, err = run(capsys, "scan", "--n", str(order),
+                                 "--r", "1/2", "--stat", stat, "--all-m",
+                                 "--out", str(out_file))
+            assert code == EXIT_OK and err == ""
+            with open(out_file, newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            out_file.unlink()
+            assert len(rows) == comb(order, 2) + 1
+            closed_form = getattr(families, stat)
+            for m, row in enumerate(rows):
+                assert int(row["m"]) == m and row["method"] == "formula"
+                assert int(row["value"]) == closed_form(order, m,
+                                                        Fraction(1, 2))
+                assert row["witness_graph6"] == ""
+
+
+def test_scan_over_graph_order_bound_exits_before_writing(tmp_path, capsys):
+    out_file = tmp_path / "scan.csv"
+    for stat in ("covmin", "coemin", "covmax", "coemax"):
+        code, out, err = run(capsys, "scan", "--n", str(MAX_VERTICES + 1),
+                             "--r", "1/2", "--stat", stat, "--all-m",
+                             "--out", str(out_file))
+        assert code == EXIT_USAGE
+        assert out == "" and "graph order bound" in err
+        assert not out_file.exists()
+
+
+def test_closed_form_witnesses_are_built_only_where_printed(
+        tmp_path, capsys, monkeypatch):
+    # An enumerated scan prints the enumeration's witnesses, and a scan
+    # without --witness prints none; only a closed-form --witness scan
+    # canonicalizes the closed-form witness of each of its C(6, 2) + 1 rows.
+    searches = []
+    search = families.canonical_graph
+
+    def counted(g):
+        searches.append(g)
+        return search(g)
+
+    monkeypatch.setattr(families, "canonical_graph", counted)
+    out_file = str(tmp_path / "scan.csv")
+    for stat in ("covmin", "coemin"):
+        for flags, expected in ((("--enumerate", "--witness"), 0),
+                                ((), 0), (("--witness",), 16)):
+            searches.clear()
+            code, _, _ = run(capsys, "scan", "--n", "6", "--r", "1/2",
+                             "--stat", stat, "--all-m", "--out", out_file,
+                             *flags)
+            assert code == EXIT_OK
+            assert len(searches) == expected, (stat, flags)
 
 
 def test_all_m_sweeps_report_the_per_m_results_in_ascending_m(
@@ -204,8 +260,7 @@ def test_all_m_sweeps_report_the_per_m_results_in_ascending_m(
     coemin = families.coemin
 
     def skewed(n, m, r):
-        result = coemin(n, m, r)
-        return result._replace(value=result.value + 1) if m % 2 else result
+        return coemin(n, m, r) + 1 if m % 2 else coemin(n, m, r)
 
     monkeypatch.setattr(families, "coemin", skewed)
     levels = range(16)

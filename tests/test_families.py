@@ -6,9 +6,10 @@ import pytest
 from propconn.graph import complete
 from propconn.solver import copec_value, copvc_value
 from propconn.families import (PQDecomposition, build_max_failure_state,
-                               coemax_tail, coemin,
+                               coemax_tail, coemin, coemin_witness,
                                complete_minus_two_disjoint_edges, covmax_tail,
                                covmin, covmin_piecewise_crosscheck,
+                               covmin_witness,
                                covmin_threshold_f, extremal_by_enumeration,
                                max_failure_edges)
 from propconn.enumeration import enumerate_gnm, family_profile
@@ -70,10 +71,10 @@ def test_covmin_threshold_values():
 
 
 def test_covmin_values():
-    assert covmin(6, 6, HALF).value == 0
-    assert covmin(6, 9, HALF).value == 1
+    assert covmin(6, 6, HALF) == 0
+    assert covmin(6, 9, HALF) == 1
     # at the complete graph the family minimum is n - tau
-    assert covmin(6, 15, HALF).value == 3
+    assert covmin(6, 15, HALF) == 3
     with pytest.raises(ValueError):
         covmin(6, 16, HALF)
 
@@ -85,22 +86,22 @@ def test_covmin_witness_attains_value():
             if tau < 1:
                 continue
             for m in range(comb(n, 2) + 1):
-                res = covmin(n, m, r)
-                assert res.witness.n == n and res.witness.m == m
-                assert copvc_value(res.witness, tau) == res.value
+                witness = covmin_witness(n, m, r)
+                assert witness.n == n and witness.m == m
+                assert copvc_value(witness, tau) == covmin(n, m, r)
 
 
 def test_coemin_values():
-    assert coemin(6, 6, HALF).value == 0
-    assert coemin(6, 10, HALF).value == 4
-    assert coemin(6, 15, HALF).value == 9
+    assert coemin(6, 6, HALF) == 0
+    assert coemin(6, 10, HALF) == 4
+    assert coemin(6, 15, HALF) == 9
 
 
 def test_coemin_witness_attains_value():
     for m in range(comb(6, 2) + 1):
-        res = coemin(6, m, HALF)
-        assert res.witness.m == m
-        assert copec_value(res.witness, 3) == res.value
+        witness = coemin_witness(6, m, HALF)
+        assert witness.m == m
+        assert copec_value(witness, 3) == coemin(6, m, HALF)
 
 
 def test_piecewise_crosscheck_examples():
@@ -114,17 +115,17 @@ def test_piecewise_crosscheck_agrees_when_remainder_zero():
     for n, r in [(6, HALF), (4, HALF), (6, Fraction(1, 3)), (8, Fraction(1, 4))]:
         assert PQDecomposition.of(n, r).q == 0
         for m in range(comb(n, 2) + 1):
-            assert covmin_piecewise_crosscheck(n, m, r) == covmin(n, m, r).value
+            assert covmin_piecewise_crosscheck(n, m, r) == covmin(n, m, r)
 
 
 def test_piecewise_crosscheck_disagrees_where_windows_shift():
     # with q >= 1 the printed windows shift by one block; reported, not fixed
     mismatches = [m for m in range(comb(7, 2) + 1)
                   if covmin_piecewise_crosscheck(7, m, HALF)
-                  != covmin(7, m, HALF).value]
+                  != covmin(7, m, HALF)]
     assert mismatches, "expected reportable disagreements at n=7, r=1/2"
     assert covmin_piecewise_crosscheck(7, 13, HALF) == 1
-    assert covmin(7, 13, HALF).value == 2
+    assert covmin(7, 13, HALF) == 2
 
 
 def test_tail_values():
@@ -164,7 +165,7 @@ def test_complete_minus_two_disjoint_edges_drops_below_full_tail():
 
 def test_extremal_by_enumeration_examples():
     res = extremal_by_enumeration(6, 9, HALF, "covmin")
-    assert res.value == 1 and res.method == "enumeration"
+    assert res.value == 1 and res.stat == "covmin"
     assert copvc_value(res.witness, 3) == 1
     res = extremal_by_enumeration(3, 3, HALF, "covmin")
     assert res.value == 2
@@ -183,9 +184,9 @@ def test_formula_matches_enumeration_n_up_to_5():
             if tau < 1:
                 continue
             for m in range(comb(n, 2) + 1):
-                assert (covmin(n, m, r).value
+                assert (covmin(n, m, r)
                         == extremal_by_enumeration(n, m, r, "covmin").value)
-                assert (coemin(n, m, r).value
+                assert (coemin(n, m, r)
                         == extremal_by_enumeration(n, m, r, "coemin").value)
 
 
@@ -194,4 +195,4 @@ def test_family_profile_aligns_with_classes():
     classes = list(enumerate_gnm(5, 6))
     assert len(profile.vertex_values) == len(classes)
     assert profile.edge_values is not None
-    assert min(profile.vertex_values) == covmin(5, 6, HALF).value
+    assert min(profile.vertex_values) == covmin(5, 6, HALF)
