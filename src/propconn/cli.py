@@ -22,7 +22,6 @@ from .graph import MAX_VERTICES, Threshold, parse_proportion
 from .solver import MAX_EDGE_SOLVER_VERTICES, copvc_exact, copec_exact
 from .formulas import FORMULAS, ClassSpec, formula_vs_oracle, formulas_for
 from . import families
-from .enumeration import MAX_ENUM_VERTICES
 from .bounds import check_coemax_upper_bound, check_equal_partition_conjecture
 from .formats import (build_report, dump_report, encode_graph6, fraction_str,
                       parse_edge_list, witness_payload, write_scan_csv)
@@ -35,11 +34,7 @@ EXIT_DISCREPANCY = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise ValueError(message)
 
 
 def _ratio(text: str) -> Fraction:
@@ -139,8 +134,8 @@ def _cmd_formula(args) -> int:
     spec = ClassSpec(args.family.replace("-", "_"), args.n, args.a, args.b)
     flags = ("a", "b") if len(spec.args) == 2 else ("n",)
     if None in spec.args:
-        raise _UsageError(f"class {args.family} needs "
-                          + " and ".join(f"--{flag}" for flag in flags))
+        raise ValueError(f"class {args.family} needs "
+                         + " and ".join(f"--{flag}" for flag in flags))
     inputs = {"class": args.family, "r": fraction_str(args.r),
               "mode": args.mode, **dict(zip(flags, spec.args))}
     results = formulas_for(spec, args.r, args.mode)
@@ -157,7 +152,10 @@ def _stat_value(stat: str, n: int, m: int, r: Fraction, enumerate_: bool):
     as ``extremal`` and ``scan`` report it: the closed form or tail value
     (None where unknown), the enumeration truth when asked for, and whether
     both are known and differ.  A mismatch exits with EXIT_DISCREPANCY only
-    for covmin and coemin, whose closed forms are settled."""
+    for covmin and coemin, whose closed forms are settled.  Refuses n over
+    the graph order bound before any work."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"--n {n} exceeds the graph order bound {MAX_VERTICES}")
     if stat in ("covmin", "coemin"):
         value, method = getattr(families, stat)(n, m, r), "formula"
     else:
@@ -193,8 +191,6 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_scan(args) -> int:
     n, r, stat = args.n, args.r, args.stat
-    if n > MAX_VERTICES:
-        raise _UsageError(f"--n {n} exceeds the graph order bound {MAX_VERTICES}")
     rows = []
     code = EXIT_OK
     # Solved from m = C(n, 2) down, so that enumerated edge values inherit
@@ -246,19 +242,16 @@ def _verify_entries(n_max: int, grid: list[Fraction]):
 
 
 def _cmd_verify(args) -> int:
-    try:
-        grid = [parse_proportion(tok) for tok in args.r_grid.split(",")]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    grid = [parse_proportion(tok) for tok in args.r_grid.split(",")]
     # Edge entries solve connected graphs of every order n <= n_max with
     # floor(r*n) >= 1; refuse up front the runs that would reach n > bound.
     if args.n_max > MAX_EDGE_SOLVER_VERTICES and any(
             Threshold.for_order(r, args.n_max).tau >= 1 for r in grid):
-        raise _UsageError(f"--n-max {args.n_max} exceeds the edge solver "
-                          f"bound {MAX_EDGE_SOLVER_VERTICES} for this r-grid")
+        raise ValueError(f"--n-max {args.n_max} exceeds the edge solver "
+                         f"bound {MAX_EDGE_SOLVER_VERTICES} for this r-grid")
     if args.n_max > MAX_VERTICES:
-        raise _UsageError(f"--n-max {args.n_max} exceeds the graph order "
-                          f"bound {MAX_VERTICES}")
+        raise ValueError(f"--n-max {args.n_max} exceeds the graph order "
+                         f"bound {MAX_VERTICES}")
     failed = []
     warned = []
     checked = 0
@@ -275,7 +268,7 @@ def _cmd_verify(args) -> int:
                                "value": check.value, "oracle": entry.oracle})
     piecewise = []
     for r in grid:
-        for n in range(2, min(args.n_max, MAX_ENUM_VERTICES) + 1):
+        for n in range(2, args.n_max + 1):
             if Threshold.for_order(r, n).tau < 1:
                 continue
             for m in range(comb(n, 2) + 1):
@@ -343,9 +336,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"propconn: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"propconn: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

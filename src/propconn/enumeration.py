@@ -185,10 +185,9 @@ def count_classes(n: int, m: int) -> int:
 # (n, m, tau) -> values of the classes of G(n, m), in enumerate_gnm order.
 _VERTEX_VALUES: dict[tuple[int, int, int], tuple[int, ...]] = {}
 _EDGE_VALUES: dict[tuple[int, int, int], tuple[int, ...]] = {}
-# (n, tau) -> (m, {canonical key: minimum cut}) for the last level of
-# G(n, .) whose edge values were solved at tau; a cut is a mask over key
-# bits.
-_CUTS: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
+# (n, tau) -> {canonical key: minimum cut} of the last level of G(n, .)
+# whose edge values were solved at tau; a cut is a mask over key bits.
+_CUTS: dict[tuple[int, int], dict[int, int]] = {}
 
 
 class FamilyProfile(NamedTuple):
@@ -228,9 +227,8 @@ def _edge_values(n: int, m: int, r: Fraction, tau: int) -> tuple[int, ...]:
     """Edge values of the classes of G(n, m), each taken from the cut of a
     parent that holds the parent's extra pair, solved when no parent's
     cut does."""
-    level, parent_cuts = _CUTS.get((n, tau), (None, {}))
-    if level != m + 1:
-        parent_cuts = {}
+    # A level-m key has m bits set, so key | bit can only hit level m + 1.
+    parent_cuts = _CUTS.get((n, tau), {})
     bit_of = {pair: 1 << p for p, pair in enumerate(key_pairs(n))}
     full = (1 << comb(n, 2)) - 1
     cuts = {}
@@ -247,7 +245,7 @@ def _edge_values(n: int, m: int, r: Fraction, tau: int) -> tuple[int, ...]:
         else:
             cut = sum(bit_of[pair] for pair in copec_exact(g, r).elements)
         cuts[key] = cut
-    _CUTS[n, tau] = (m, cuts)
+    _CUTS[n, tau] = cuts
     return tuple(cut.bit_count() for cut in cuts.values())
 
 

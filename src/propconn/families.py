@@ -15,8 +15,7 @@ from math import comb
 from typing import NamedTuple
 
 from .graph import Graph, Threshold, complete, disjoint_union, edgeless
-from .enumeration import (MAX_ENUM_VERTICES, canonical_graph, enumerate_gnm,
-                          family_profile)
+from .enumeration import canonical_graph, enumerate_gnm, family_profile
 
 _STATS = ("covmin", "coemin", "covmax", "coemax")
 
@@ -206,9 +205,6 @@ def extremal_by_enumeration(n: int, m: int, r: Fraction,
     the extremal representative with the smallest canonical key."""
     if stat not in _STATS:
         raise ValueError(f"stat must be one of {_STATS}, got {stat!r}")
-    if n > MAX_ENUM_VERTICES:
-        raise ValueError(f"enumeration supports n <= {MAX_ENUM_VERTICES}")
-    _check_m(n, m)
     profile = family_profile(n, m, r)
     if stat in ("coemin", "coemax") and profile.edge_values is None:
         raise ValueError("edge statistics need floor(r*n) >= 1")

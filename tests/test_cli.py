@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from propconn import cli, families
+from propconn import cli, families, formulas
 from propconn.cli import (EXIT_DISCREPANCY, EXIT_INFEASIBLE, EXIT_OK,
                           EXIT_USAGE, main)
 from propconn.enumeration import MAX_CANONICAL_VERTICES
@@ -103,6 +103,10 @@ def test_compute_infeasible_exit_code(tmp_path, capsys):
     assert code == EXIT_INFEASIBLE
     assert json.loads(out)["infeasible"] is True
     assert "infeasible" in err
+    code, out, _ = run(capsys, "compute", "--graph", str(graph_file),
+                       "--r", "1/2", "--mode", "edge", "--witness")
+    assert code == EXIT_INFEASIBLE
+    assert json.loads(out)["witness"] == []
 
 
 def test_compute_rejects_decimal_ratio(tmp_path, capsys):
@@ -224,6 +228,11 @@ def test_scan_over_graph_order_bound_exits_before_writing(tmp_path, capsys):
         assert code == EXIT_USAGE
         assert out == "" and "graph order bound" in err
         assert not out_file.exists()
+        # extremal refuses the same orders up front, tails included
+        code, out, err = run(capsys, "extremal", "--n", str(MAX_VERTICES + 1),
+                             "--m", "0", "--r", "1/2", "--stat", stat)
+        assert code == EXIT_USAGE
+        assert out == "" and "graph order bound" in err
 
 
 def test_closed_form_witnesses_are_built_only_where_printed(
@@ -328,6 +337,13 @@ def test_verify_exits_clean_on_proven_formulas(capsys):
 def test_verify_entries_are_pinned(capsys):
     # README's adjudication table: which instances verify checks is decided
     # by the closed forms' own domains, and these counts and labels pin it.
+    # The piecewise cross-check covers every n up to --n-max.
+    code, out, _ = run(capsys, "verify", "--n-max", "10",
+                       "--r-grid", "1/4,1/3,1/2,2/3,3/4")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["checked"] == 371 and report["failed_proven"] == []
+    assert len(report["piecewise_mismatches"]) == 244
     code, out, _ = run(capsys, "verify", "--n-max", "8",
                        "--r-grid", "1/4,1/3,1/2,2/3,3/4")
     assert code == EXIT_OK
@@ -341,6 +357,19 @@ def test_verify_entries_are_pinned(capsys):
         "cycle(n=4, r=3/4, vertex)"]
     assert {w["formula"] for w in report["reported_variants"]} == {
         "cycle_vertex_reduced_order"}
+
+
+def test_verify_exits_3_when_a_settled_formula_disagrees(capsys, monkeypatch):
+    def off_by_one(n, r):
+        result = formulas.copvc_path(n, r)
+        return result._replace(value=result.value + 1)
+
+    monkeypatch.setitem(formulas.FORMULAS, ("path", "vertex"), (off_by_one,))
+    code, out, err = run(capsys, "verify", "--n-max", "4", "--r-grid", "1/2")
+    assert code == EXIT_DISCREPANCY
+    failed = json.loads(out)["failed_proven"]
+    assert failed[0]["instance"] == "path(n=2, r=1/2, vertex)"
+    assert "3 settled formula(s) disagree with the exact solver" in err
 
 
 def test_verify_rejects_n_max_over_edge_solver_bound(capsys):

@@ -138,6 +138,10 @@ def test_tail_values():
     # the full upper tail stops strictly before m = C(n,2)
     assert coemax_tail(5, 9, Fraction(9, 10)) is None
     assert coemax_tail(5, 10, Fraction(9, 10)) == comb(5, 2) - comb(4, 2)
+    # no tail is known where floor(r*n) = 0
+    for m in range(comb(3, 2) + 1):
+        assert covmax_tail(3, m, Fraction(1, 4)) is None
+        assert coemax_tail(3, m, Fraction(1, 4)) is None
 
 
 def test_tails_match_enumeration_wherever_defined():
