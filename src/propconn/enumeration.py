@@ -5,14 +5,15 @@ orderings, of ``graph.upper_triangle_key``, the upper-triangle adjacency
 bits read column-major that graph6 writes in base 64.  The minimum is
 built one column at a time: a prefix of the ordering leaves each unplaced
 vertex a next column (its adjacency bits to the placed vertices), and the
-search keeps, level by level, only the prefixes whose columns so far are
-minimal.  Prefixes that leave the same vertices with the same next columns
-have identical futures, so each such state is kept once.  Twins u < w, whose neighbourhoods agree
-apart from each other, can trade places in any ordering without changing
-its key, so the search places each twin class in label order only: a
-state holds the lowest unplaced member of each class, not the whole class.
-This returns exactly the global minimum without touching most of the n!
-orderings.
+search state is the ordered partition of the unplaced vertices by next
+column.  Placing a vertex splits each part by adjacency to it, so states
+that leave the same vertices with the same columns are kept once, and
+each level's least column is the key's next column.  Three rules keep the
+levels small (see ``canonical_key``): a one-step lookahead builds only the
+children that reach that least column; twins are placed in label order;
+and a vertex of the least column with no unplaced neighbour is placed
+with no sibling branch.  This returns exactly the global minimum without
+touching most of the n! orderings.
 
 Graphs with n vertices and m edges are generated by orderly generation
 (Read, "Every one a winner", 1978) on that key.  If c is the canonical key
@@ -52,71 +53,127 @@ from .solver import copvc_value, copec_exact
 
 MAX_ENUM_VERTICES = 8
 
-# Largest order canonical_graph accepts.  The level search never holds more
+# Largest order canonical_key accepts.  The level search never holds more
 # states than a depth-first search over the same minimal-column prefixes
 # visits prefixes, and that search's worst case, the n! tied orderings of
 # the edgeless and complete graphs, took 26-27 s at n = 10 on a 2-vCPU
-# CPython 3.11 machine.  On the same machine, at n = 10, the level search
-# took 0.1 ms or less on those two graphs, whose vertices are all twins,
-# and 1-4 ms on 4K2 + 2K1, 3K2 + 4K1, 5K2 and the Petersen graph.  The
-# slowest named graphs are twin-free: P10 and 2C5, 5-9 ms.  Over 206 seeded
-# random graphs at n = 10 the slowest, sparse ones took about 0.02 s.  The
-# bound waits for a proven worst case.
+# CPython 3.11 machine.  On the same machine, at n = 10 (best of five
+# calls), the level search took under 0.1 ms on those two graphs, whose
+# vertices are all twins; 0.1-0.3 ms on 3K2 + 4K1 and 4K2 + 2K1, whose
+# isolated vertices go first; and 2-2.5 ms on 5K2 and the Petersen graph.
+# The slowest named graphs are twin-free: P10 and 2C5, 5-7 ms.  180 seeded
+# G(10, p), p = 0.1-0.9, took 0.14-0.16 s in all, the slowest about 0.01 s.
+# The bound waits for a proven worst case.
 MAX_CANONICAL_VERTICES = 10
 
 
-def _canonical_order(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Vertex ordering minimizing the column-major upper-triangle bitstring."""
-    # A state pairs unplaced vertices with their next columns; equal states
-    # have identical futures, so each is kept once, with the first ordering
-    # that reaches it.  Twins u < w (N(u) - {w} = N(w) - {u}) can swap in
-    # any ordering without changing its key, so each twin class is placed
-    # in label order: a state holds only the lowest unplaced member of each
-    # class, and placing it hands its slot to its next-higher twin.
-    # Unplaced twins share their next column, so the slot's column serves
-    # the whole class.
-    higher = [None] * n
-    last = {}
-    for v in range(n):
-        # open neighbourhoods group non-adjacent twins, closed ones adjacent
-        # twins; no open neighbourhood equals a closed one, and no vertex
-        # has twins of both kinds
-        for nbhd in (rows[v], rows[v] | 1 << v):
-            if nbhd in last:
-                higher[last[nbhd]] = v
-            last[nbhd] = v
-    frontier = {tuple((v, 0) for v in range(n) if v not in higher): ()}
-    for _ in range(n):
-        mn = min(c for state in frontier for _, c in state)
-        children = {}
-        for state, order in frontier.items():
-            for v, c in state:
-                if c == mn:
-                    row, w = rows[v], higher[v]
-                    if w is None:
-                        child = tuple((u, cu << 1 | row >> u & 1)
-                                      for u, cu in state if u != v)
-                    else:
-                        child = tuple((u, cu << 1 | row >> u & 1) if u != v
-                                      else (w, c << 1 | row >> w & 1)
-                                      for u, cu in state)
-                    children.setdefault(child, order + (v,))
-        frontier = children
-    return frontier[()]
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """Representative of g's isomorphism class under the minimal ordering.
+def canonical_key(g: Graph) -> int:
+    """The minimum of ``upper_triangle_key`` over every vertex ordering of g.
     Raises ValueError, before any search, when g has more than
-    MAX_CANONICAL_VERTICES vertices."""
+    MAX_CANONICAL_VERTICES vertices.
+
+    The search places one vertex per level.  A state is the ordered
+    partition of the unplaced vertices by next column: a tuple of
+    (column, vertex mask) groups in increasing column order.  Placing v
+    splits each group (c, mask) into (2c, mask - N(v)) and (2c + 1,
+    mask & N(v)), dropping empty halves.  Each level keeps only the
+    children whose smallest next column equals the least one any child
+    reaches, so the level minima concatenate to the key.  Equal states
+    have identical futures and are kept once.
+
+    Two rules drop children that cannot lower the key:
+
+    - Twins u < w, with N(u) - {w} = N(w) - {u}, can trade places in any
+      ordering without changing its key, and always share a group, so
+      twins are placed in label order: v waits while its next-lower twin
+      is unplaced.
+    - Isolated first: a candidate z of the least column whose neighbours
+      are all placed is placed with no sibling branch.  Take any ordering
+      that places z later, and swap z with the vertex y just before it.
+      z's bits to every vertex after the prefix are 0, so z's column in
+      y's old slot is its prefix column followed by 0s, which is no more
+      than y's column there, since y's prefix column is at least z's.  If
+      they are equal, y's column in z's old slot equals z's old one.
+      Every later column trades its bits (to y, to z) = (b, 0) for
+      (0, b).  So no column rises before the first that falls, and the
+      key does not rise; repeating the swap brings z next.  z's lower
+      twins are placed (an unplaced one would be blocking it), so the
+      swaps keep twins in label order and the two rules hold together.
+    """
     if g.n > MAX_CANONICAL_VERTICES:
         raise ValueError(f"canonical search supports n <= "
                          f"{MAX_CANONICAL_VERTICES}, got {g.n}")
-    return g._relabel(_canonical_order(g.rows, g.n))
+    n, rows = g.n, g.rows
+    # vertex bit -> (row, bit of the vertex's next-lower twin or 0).  Open
+    # neighbourhoods group non-adjacent twins, closed ones adjacent twins;
+    # no open neighbourhood equals a closed one, and no vertex has twins of
+    # both kinds.
+    info = {}
+    last = {}
+    for v in range(n):
+        lower = 0
+        for nbhd in (rows[v], rows[v] | 1 << v):
+            if nbhd in last:
+                lower = 1 << last[nbhd]
+            last[nbhd] = v
+        info[1 << v] = (rows[v], lower)
+    full = (1 << n) - 1
+    states = {((0, full),): full}  # state -> mask of its unplaced vertices
+    key = 0
+    for width in range(1, n):
+        best = 1 << width  # above every column of this width
+        children = {}
+        for state, unplaced in states.items():
+            (c0, m0), tail = state[0], state[1:]
+            picks = []
+            bits = m0
+            while bits:
+                vbit = bits & -bits
+                bits ^= vbit
+                row, lower = info[vbit]
+                if lower & m0:
+                    continue
+                if not row & unplaced:
+                    picks = [(vbit, row)]
+                    break
+                picks.append((vbit, row))
+            for vbit, row in picks:
+                # the child's smallest next column, found before it is built
+                rest = m0 ^ vbit
+                if rest:
+                    column = c0 << 1 | (0 if rest & ~row else 1)
+                else:
+                    c, m = tail[0]
+                    column = c << 1 | (0 if m & ~row else 1)
+                if column > best:
+                    continue
+                if column < best:
+                    best = column
+                    children = {}
+                if width == n - 1:
+                    continue  # the last vertex's column is the key's end
+                child = []
+                if rest & ~row:
+                    child.append((c0 << 1, rest & ~row))
+                if rest & row:
+                    child.append((c0 << 1 | 1, rest & row))
+                for c, m in tail:
+                    if m & ~row:
+                        child.append((c << 1, m & ~row))
+                    if m & row:
+                        child.append((c << 1 | 1, m & row))
+                children[tuple(child)] = unplaced ^ vbit
+        key = key << width | best
+        states = children
+    return key
 
 
-def canonical_key(g: Graph) -> int:
-    return upper_triangle_key(canonical_graph(g))
+def canonical_graph(g: Graph) -> Graph:
+    """Representative of g's isomorphism class: the graph whose
+    ``upper_triangle_key`` is ``canonical_key(g)``."""
+    key = canonical_key(g)
+    return Graph(g.n, [pair for p, pair in enumerate(key_pairs(g.n))
+                       if key >> p & 1])
 
 
 # n -> {m: {canonical key: canonical graph} of G(n, m), in key order},

@@ -105,6 +105,56 @@ def brute_canonical_key(g: Graph) -> int:
     return best if best is not None else 0
 
 
+# The canonical search before its state became an ordered column partition:
+# a state pairs each unplaced twin-class representative with its next
+# column, and every child of a least-column vertex is built.
+# reference_canonical_graph(g) is the reference for
+# enumeration.canonical_graph(g).
+def reference_canonical_order(rows: tuple[int, ...],
+                              n: int) -> tuple[int, ...]:
+    """Vertex ordering minimizing the column-major upper-triangle bitstring."""
+    # A state pairs unplaced vertices with their next columns; equal states
+    # have identical futures, so each is kept once, with the first ordering
+    # that reaches it.  Twins u < w (N(u) - {w} = N(w) - {u}) can swap in
+    # any ordering without changing its key, so each twin class is placed
+    # in label order: a state holds only the lowest unplaced member of each
+    # class, and placing it hands its slot to its next-higher twin.
+    # Unplaced twins share their next column, so the slot's column serves
+    # the whole class.
+    higher = [None] * n
+    last = {}
+    for v in range(n):
+        # open neighbourhoods group non-adjacent twins, closed ones adjacent
+        # twins; no open neighbourhood equals a closed one, and no vertex
+        # has twins of both kinds
+        for nbhd in (rows[v], rows[v] | 1 << v):
+            if nbhd in last:
+                higher[last[nbhd]] = v
+            last[nbhd] = v
+    frontier = {tuple((v, 0) for v in range(n) if v not in higher): ()}
+    for _ in range(n):
+        mn = min(c for state in frontier for _, c in state)
+        children = {}
+        for state, order in frontier.items():
+            for v, c in state:
+                if c == mn:
+                    row, w = rows[v], higher[v]
+                    if w is None:
+                        child = tuple((u, cu << 1 | row >> u & 1)
+                                      for u, cu in state if u != v)
+                    else:
+                        child = tuple((u, cu << 1 | row >> u & 1) if u != v
+                                      else (w, c << 1 | row >> w & 1)
+                                      for u, cu in state)
+                    children.setdefault(child, order + (v,))
+        frontier = children
+    return frontier[()]
+
+
+def reference_canonical_graph(g: Graph) -> Graph:
+    return g._relabel(reference_canonical_order(g.rows, g.n))
+
+
 def _partitions(n: int, most: int):
     """The partitions of n into parts of at most ``most``, largest first."""
     if n == 0:
