@@ -8,8 +8,8 @@ solver, and checks two open claims about the family maximum at desk scale.
 """
 
 from .graph import (Graph, Threshold, MAX_VERTICES, proportion,
-                    parse_proportion, edgeless, path, cycle, complete,
-                    complete_bipartite, disjoint_union)
+                    parse_proportion, threshold, edgeless, path, cycle,
+                    complete, complete_bipartite, disjoint_union)
 from .solver import (DisconnectingWitness, EdgeSolverLimitError,
                      MAX_EDGE_SOLVER_VERTICES, MAX_VERTEX_SOLVER_VERTICES,
                      VertexSolverLimitError, copvc_exact, copec_exact,
@@ -20,7 +20,7 @@ from .formulas import (FormulaResult, ClassSpec, FormulaCheck,
                        copvc_complete, copvc_complete_bipartite,
                        copec_path, copec_cycle, copec_cycle_arc_cover,
                        copec_complete, formula_vs_oracle)
-from .families import (PQDecomposition, ExtremalResult, max_failure_edges,
+from .families import (ExtremalResult, max_failure_edges,
                        build_max_failure_state, covmin_threshold_f, covmin,
                        covmin_piecewise_crosscheck, coemin, covmax_tail,
                        coemax_tail, complete_minus_two_disjoint_edges,
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "Threshold", "MAX_VERTICES",
-    "proportion", "parse_proportion", "edgeless", "path", "cycle",
+    "proportion", "parse_proportion", "threshold", "edgeless", "path", "cycle",
     "complete", "complete_bipartite", "disjoint_union",
     "DisconnectingWitness", "EdgeSolverLimitError", "MAX_EDGE_SOLVER_VERTICES",
     "VertexSolverLimitError", "MAX_VERTEX_SOLVER_VERTICES",
@@ -51,11 +51,10 @@ __all__ = [
     "copvc_cycle_original_order", "copvc_complete",
     "copvc_complete_bipartite", "copec_path", "copec_cycle",
     "copec_cycle_arc_cover", "copec_complete", "formula_vs_oracle",
-    "PQDecomposition", "ExtremalResult", "max_failure_edges",
-    "build_max_failure_state", "covmin_threshold_f", "covmin",
-    "covmin_piecewise_crosscheck", "coemin", "covmax_tail", "coemax_tail",
-    "complete_minus_two_disjoint_edges", "extremal_by_enumeration",
-    "covmin_witness", "coemin_witness",
+    "ExtremalResult", "max_failure_edges", "build_max_failure_state",
+    "covmin_threshold_f", "covmin", "covmin_piecewise_crosscheck", "coemin",
+    "covmax_tail", "coemax_tail", "complete_minus_two_disjoint_edges",
+    "extremal_by_enumeration", "covmin_witness", "coemin_witness",
     "MAX_ENUM_VERTICES", "MAX_CANONICAL_VERTICES", "FamilyProfile",
     "canonical_graph", "canonical_key",
     "enumerate_gnm", "count_classes", "family_profile", "upper_triangle_key",

@@ -2,8 +2,8 @@
 conjecture checkers together.
 
 Exit codes: 0 success, 1 usage error (including an input over a solver's
-size limit), 2 infeasible request (edge disconnection at floor(r*n) = 0),
-3 discrepancy in a settled formula.
+size limit), 2 infeasible request (edge disconnection, or an edge family
+statistic, at floor(r*n) = 0), 3 discrepancy in a settled formula.
 Ratios are always written A/B; decimals are rejected so thresholds stay
 exact.
 
@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .graph import MAX_VERTICES, Threshold, parse_proportion
+from .graph import MAX_VERTICES, parse_proportion, threshold
 from .solver import MAX_EDGE_SOLVER_VERTICES, copvc_exact, copec_exact
 from .formulas import FORMULAS, ClassSpec, formula_vs_oracle, formulas_for
 from . import families
@@ -105,6 +105,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _infeasible(report: dict | None = None) -> int:
+    """Prints the report, if any, marked infeasible, and the reason."""
+    if report is not None:
+        report["infeasible"] = True
+        print(dump_report(report))
+    print("infeasible: floor(r*n) = 0, edge removal cannot shrink "
+          "order-1 components", file=sys.stderr)
+    return EXIT_INFEASIBLE
+
+
 def _cmd_compute(args) -> int:
     with open(args.graph) as handle:
         g = parse_edge_list(handle.read())
@@ -121,11 +131,7 @@ def _cmd_compute(args) -> int:
         method=method,
     )
     if not witness.feasible:
-        report["infeasible"] = True
-        print(dump_report(report))
-        print("infeasible: floor(r*n) = 0, edge removal cannot shrink "
-              "order-1 components", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _infeasible(report)
     print(dump_report(report))
     return EXIT_OK
 
@@ -147,15 +153,20 @@ def _cmd_formula(args) -> int:
     return EXIT_OK
 
 
+def _stat_feasible(stat: str, n: int, r: Fraction) -> bool:
+    """Checked once, before any work: refuses n over the graph order bound;
+    False for an edge statistic at floor(r*n) = 0."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"--n {n} exceeds the graph order bound {MAX_VERTICES}")
+    return stat not in ("coemin", "coemax") or threshold(r, n) >= 1
+
+
 def _stat_value(stat: str, n: int, m: int, r: Fraction, enumerate_: bool):
     """(value, method, truth, mismatch, code) of a family statistic
     as ``extremal`` and ``scan`` report it: the closed form or tail value
     (None where unknown), the enumeration truth when asked for, and whether
     both are known and differ.  A mismatch exits with EXIT_DISCREPANCY only
-    for covmin and coemin, whose closed forms are settled.  Refuses n over
-    the graph order bound before any work."""
-    if n > MAX_VERTICES:
-        raise ValueError(f"--n {n} exceeds the graph order bound {MAX_VERTICES}")
+    for covmin and coemin, whose closed forms are settled."""
     if stat in ("covmin", "coemin"):
         value, method = getattr(families, stat)(n, m, r), "formula"
     else:
@@ -169,9 +180,11 @@ def _stat_value(stat: str, n: int, m: int, r: Fraction, enumerate_: bool):
 
 def _cmd_extremal(args) -> int:
     n, m, r, stat = args.n, args.m, args.r, args.stat
+    inputs = {"n": n, "m": m, "r": fraction_str(r), "stat": stat}
+    if not _stat_feasible(stat, n, r):
+        return _infeasible(build_report("extremal", inputs, None))
     value, method, truth, mismatch, code = _stat_value(
         stat, n, m, r, args.enumerate_)
-    inputs = {"n": n, "m": m, "r": fraction_str(r), "stat": stat}
     report = build_report("extremal", inputs, value, method=method)
     if method == "formula":
         report["witness"] = encode_graph6(
@@ -191,12 +204,14 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_scan(args) -> int:
     n, r, stat = args.n, args.r, args.stat
+    ms = range(comb(n, 2) + 1)
+    if not _stat_feasible(stat, n, r):
+        return _infeasible()
     rows = []
     code = EXIT_OK
     # Solved from m = C(n, 2) down, so that enumerated edge values inherit
     # from their parents' cuts (see enumeration.family_profile); reported
     # in ascending m.
-    ms = range(comb(n, 2) + 1)
     results = [_stat_value(stat, n, m, r, args.enumerate_) for m in reversed(ms)]
     for m, (value, method, truth, mismatch, m_code) in zip(
             ms, reversed(results)):
@@ -246,7 +261,7 @@ def _cmd_verify(args) -> int:
     # Edge entries solve connected graphs of every order n <= n_max with
     # floor(r*n) >= 1; refuse up front the runs that would reach n > bound.
     if args.n_max > MAX_EDGE_SOLVER_VERTICES and any(
-            Threshold.for_order(r, args.n_max).tau >= 1 for r in grid):
+            threshold(r, args.n_max) >= 1 for r in grid):
         raise ValueError(f"--n-max {args.n_max} exceeds the edge solver "
                          f"bound {MAX_EDGE_SOLVER_VERTICES} for this r-grid")
     if args.n_max > MAX_VERTICES:
@@ -269,7 +284,7 @@ def _cmd_verify(args) -> int:
     piecewise = []
     for r in grid:
         for n in range(2, args.n_max + 1):
-            if Threshold.for_order(r, n).tau < 1:
+            if threshold(r, n) < 1:
                 continue
             for m in range(comb(n, 2) + 1):
                 scan = families.covmin(n, m, r)

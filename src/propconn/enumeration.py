@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .graph import (Graph, Threshold, complete, key_pairs,
+from .graph import (Graph, complete, graph_from_key, key_pairs, threshold,
                     upper_triangle_key)
 from .solver import copvc_value, copec_exact
 
@@ -171,9 +171,7 @@ def canonical_key(g: Graph) -> int:
 def canonical_graph(g: Graph) -> Graph:
     """Representative of g's isomorphism class: the graph whose
     ``upper_triangle_key`` is ``canonical_key(g)``."""
-    key = canonical_key(g)
-    return Graph(g.n, [pair for p, pair in enumerate(key_pairs(g.n))
-                       if key >> p & 1])
+    return graph_from_key(g.n, canonical_key(g))
 
 
 # n -> {m: {canonical key: canonical graph} of G(n, m), in key order},
@@ -327,6 +325,6 @@ def family_profile(n: int, m: int, r: Fraction) -> FamilyProfile:
     order gives the same values; the order only decides how many are
     solved.
     """
-    tau = Threshold.for_order(r, n).tau
+    tau = threshold(r, n)
     enumerate_gnm(n, m)
     return FamilyProfile(n, m, r, tau)

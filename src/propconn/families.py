@@ -14,28 +14,10 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .graph import Graph, Threshold, complete, disjoint_union, edgeless
+from .graph import Graph, complete, disjoint_union, edgeless, threshold
 from .enumeration import canonical_graph, enumerate_gnm, family_profile
 
 _STATS = ("covmin", "coemin", "covmax", "coemax")
-
-
-class PQDecomposition(NamedTuple):
-    """n = p*tau + q with 0 <= q < tau, the shape of the densest failure
-    state (p full parts of order tau plus a remainder part)."""
-
-    n: int
-    tau: int
-    p: int
-    q: int
-
-    @classmethod
-    def of(cls, n: int, r: Fraction) -> "PQDecomposition":
-        tau = Threshold.for_order(r, n).tau
-        if tau < 1:
-            raise ValueError("decomposition requires floor(r*n) >= 1")
-        p, q = divmod(n, tau)
-        return cls(n, tau, p, q)
 
 
 class ExtremalResult(NamedTuple):
@@ -52,32 +34,39 @@ def _check_m(n: int, m: int) -> None:
         raise ValueError(f"m={m} out of range for n={n}")
 
 
+def _decompose(order: int, tau: int) -> tuple[int, int]:
+    """(p, q) with order = p*tau + q, 0 <= q < tau: p*K_tau + K_q."""
+    if tau < 1:
+        raise ValueError("decomposition requires floor(r*n) >= 1")
+    return divmod(order, tau)
+
+
 def _failure_edges(order: int, tau: int) -> int:
-    p, q = divmod(order, tau)
+    p, q = _decompose(order, tau)
     return p * comb(tau, 2) + comb(q, 2)
 
 
 def _failure_state(order: int, tau: int) -> Graph:
-    p, q = divmod(order, tau)
+    p, q = _decompose(order, tau)
     return disjoint_union(*([complete(tau)] * p + [complete(q)]))
 
 
 def max_failure_edges(n: int, r: Fraction) -> int:
     """Most edges a failed graph of order n can carry:
     p*C(tau,2) + C(q,2)."""
-    return _failure_edges(n, PQDecomposition.of(n, r).tau)
+    return _failure_edges(n, threshold(r, n))
 
 
 def build_max_failure_state(n: int, r: Fraction) -> Graph:
     """The densest failed graph: p disjoint copies of K_tau plus K_q."""
-    return _failure_state(n, PQDecomposition.of(n, r).tau)
+    return _failure_state(n, threshold(r, n))
 
 
 def covmin_threshold_f(k: int, n: int, r: Fraction) -> int:
     """Edge budget f(k) below which the family minimum vertex value stays
     at most k: a k-clique joined to everything plus the densest failure
     state on the other n-k vertices."""
-    tau = PQDecomposition.of(n, r).tau
+    tau = threshold(r, n)
     if not 0 <= k <= n - tau:
         raise ValueError(f"k={k} out of range [0, {n - tau}]")
     return k * (n - k) + comb(k, 2) + _failure_edges(n - k, tau)
@@ -100,7 +89,7 @@ def covmin_witness(n: int, m: int, r: Fraction) -> Graph:
     n-k.  Deletion never raises the value, and the family minimum at m
     edges bounds it from below."""
     k = covmin(n, m, r)
-    rest = _failure_state(n - k, PQDecomposition.of(n, r).tau)
+    rest = _failure_state(n - k, threshold(r, n))
     base = disjoint_union(edgeless(k), rest.complement()).complement()
     return canonical_graph(Graph(n, base.edges()[:m]))
 
@@ -114,9 +103,9 @@ def covmin_piecewise_crosscheck(n: int, m: int, r: Fraction) -> int | None:
     in which case None is returned).  Mismatches are reported by callers,
     never patched here.
     """
-    d = PQDecomposition.of(n, r)
+    tau = threshold(r, n)
+    p, q = _decompose(n, tau)
     _check_m(n, m)
-    tau, p, q = d.tau, d.p, d.q
     a = p * comb(tau, 2) + comb(q, 2)
     b = a + q * p * tau
 
@@ -160,9 +149,7 @@ def covmax_tail(n: int, m: int, r: Fraction) -> int | None:
     """Family maximum vertex value where it is known: 0 below tau edges,
     n - tau within tau edges of complete; None in the middle."""
     _check_m(n, m)
-    tau = Threshold.for_order(r, n).tau
-    if tau < 1:
-        return None
+    tau = threshold(r, n)
     if m < tau:
         return 0
     if m > comb(n, 2) - tau:
@@ -179,7 +166,7 @@ def coemax_tail(n: int, m: int, r: Fraction) -> int | None:
     m = C(n,2) - 2 when tau = n - 1.
     """
     _check_m(n, m)
-    tau = Threshold.for_order(r, n).tau
+    tau = threshold(r, n)
     if tau < 1:
         return None
     if m < tau:

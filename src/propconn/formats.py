@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from math import comb
 
-from .graph import Graph, MAX_VERTICES, key_pairs, upper_triangle_key
+from .graph import Graph, MAX_VERTICES, graph_from_key, upper_triangle_key
 
 GRAPH6_MAX_VERTICES = 62
 
@@ -81,9 +81,7 @@ def parse_graph6(line: str) -> Graph:
     pad = 6 * chars - bits
     if key & (1 << pad) - 1:
         raise ValueError("nonzero padding in graph6 bit string")
-    key >>= pad
-    return Graph(n, [pair for p, pair in enumerate(key_pairs(n))
-                     if key >> p & 1])
+    return graph_from_key(n, key >> pad)
 
 
 def encode_graph6(g: Graph) -> str:

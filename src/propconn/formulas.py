@@ -5,8 +5,8 @@ exact solver.
 ``FORMULAS`` maps each (family, mode) to its closed forms, the reported one
 first; ``formulas_for``, the ``formula`` and ``verify`` commands and the
 harness all read it, and a pair it does not list has no closed form.  Each
-form checks its own domain through one guard, ``_tau``, and raises
-ValueError outside it.
+form reads ``graph.threshold`` of the instance's order, as the solver does,
+and the domain guard ``_tau`` raises ValueError outside the form's domain.
 
 The cycle values ship in two variants each.  For vertex removal the
 ``reduced_order`` variant recomputes the admissible order from n-1 (the
@@ -25,7 +25,8 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .graph import Graph, Threshold, path, cycle, complete, complete_bipartite
+from .graph import Graph, path, cycle, complete, complete_bipartite, threshold
+from .families import max_failure_edges
 from .solver import copvc_value, copec_value
 
 # Formula identifiers whose values the discrepancy harness treats as
@@ -42,7 +43,6 @@ _BUILDERS = {"path": path, "cycle": cycle, "complete": complete,
 class FormulaResult(NamedTuple):
     value: int
     formula_id: str
-    tau: int
 
 
 class ClassSpec(NamedTuple):
@@ -69,78 +69,74 @@ class ClassSpec(NamedTuple):
         return sum(self.args)
 
 
-def _tau(r: Fraction, n: int, formula_id: str, tau_min: int = 1,
-         fits: bool = True, domain: str = "") -> int:
-    """floor(r*n) for an instance of a closed form.  Raises ValueError when
-    the instance is outside the form's domain: when ``fits`` is false
-    (``domain`` says why), when n < 1 (``Threshold.for_order``), or when
-    floor(r*n) < tau_min."""
+def _tau(r: Fraction, n: int, formula_id: str, fits: bool = True,
+         domain: str = "") -> int:
+    """The domain guard of a closed form: raises ValueError when ``fits``
+    is false (``domain`` says why), when n < 1 (``threshold``), or when
+    floor(r*n) < 1; otherwise returns floor(r*n)."""
     if not fits:
         raise ValueError(domain)
-    tau = Threshold.for_order(r, n).tau
-    if tau < tau_min:
-        raise ValueError(f"{formula_id} requires floor(r*n) >= {tau_min}")
+    tau = threshold(r, n)
+    if tau < 1:
+        raise ValueError(f"{formula_id} requires floor(r*n) >= 1")
     return tau
 
 
 def copvc_path(n: int, r: Fraction) -> FormulaResult:
     """floor(n / (floor(r*n) + 1)) vertices disconnect a path."""
     tau = _tau(r, n, "path_vertex")
-    return FormulaResult(n // (tau + 1), "path_vertex", tau)
+    return FormulaResult(n // (tau + 1), "path_vertex")
 
 
 def copvc_cycle(n: int, r: Fraction) -> FormulaResult:
     """Reduced-order cycle variant: threshold recomputed from n-1."""
-    tau = _tau(r, n, "cycle_vertex", fits=n >= 3, domain="cycle needs n >= 3")
-    reduced = Threshold.for_order(r, n - 1).tau
+    _tau(r, n, "cycle_vertex", fits=n >= 3, domain="cycle needs n >= 3")
+    reduced = threshold(r, n - 1)
     return FormulaResult((n - 1) // (reduced + 1) + 1,
-                         "cycle_vertex_reduced_order", tau)
+                         "cycle_vertex_reduced_order")
 
 
 def copvc_cycle_original_order(n: int, r: Fraction) -> FormulaResult:
     """Cycle variant keeping the threshold at floor(r*n)."""
     tau = _tau(r, n, "cycle_vertex", fits=n >= 3, domain="cycle needs n >= 3")
     return FormulaResult((n - 1) // (tau + 1) + 1,
-                         "cycle_vertex_original_order", tau)
+                         "cycle_vertex_original_order")
 
 
 def copvc_complete(n: int, r: Fraction) -> FormulaResult:
     """n - floor(r*n): complete graphs shrink but never disconnect."""
-    tau = _tau(r, n, "complete_vertex", tau_min=0)
-    return FormulaResult(n - tau, "complete_vertex", tau)
+    return FormulaResult(n - threshold(r, n), "complete_vertex")
 
 
 def copvc_complete_bipartite(a: int, b: int, r: Fraction) -> FormulaResult:
     """min(a, a+b-floor(r*n)) with a <= b and n = a+b."""
     tau = _tau(r, a + b, "complete_bipartite_vertex", fits=1 <= a <= b,
                domain="complete bipartite needs 1 <= a <= b")
-    return FormulaResult(min(a, a + b - tau), "complete_bipartite_vertex", tau)
+    return FormulaResult(min(a, a + b - tau), "complete_bipartite_vertex")
 
 
 def copec_path(n: int, r: Fraction) -> FormulaResult:
     """floor((n-1) / floor(r*n)) edges disconnect a path."""
     tau = _tau(r, n, "path_edge")
-    return FormulaResult((n - 1) // tau, "path_edge", tau)
+    return FormulaResult((n - 1) // tau, "path_edge")
 
 
 def copec_cycle(n: int, r: Fraction) -> FormulaResult:
     """Path-reduction cycle variant: one cut plus the path value."""
     tau = _tau(r, n, "cycle_edge", fits=n >= 3, domain="cycle needs n >= 3")
-    return FormulaResult((n - 1) // tau + 1, "cycle_edge_path_reduction", tau)
+    return FormulaResult((n - 1) // tau + 1, "cycle_edge_path_reduction")
 
 
 def copec_cycle_arc_cover(n: int, r: Fraction) -> FormulaResult:
     """Cycle variant counting arcs directly: ceil(n / floor(r*n))."""
     tau = _tau(r, n, "cycle_edge", fits=n >= 3, domain="cycle needs n >= 3")
-    return FormulaResult(-(-n // tau), "cycle_edge_arc_cover", tau)
+    return FormulaResult(-(-n // tau), "cycle_edge_arc_cover")
 
 
 def copec_complete(n: int, r: Fraction) -> FormulaResult:
-    """C(n,2) - p*C(tau,2) - C(q,2) with n = p*tau + q, 0 <= q < tau."""
-    tau = _tau(r, n, "complete_edge")
-    p, q = divmod(n, tau)
-    return FormulaResult(comb(n, 2) - p * comb(tau, 2) - comb(q, 2),
-                         "complete_edge", tau)
+    """C(n,2) minus the densest failure state's ``max_failure_edges``."""
+    _tau(r, n, "complete_edge")
+    return FormulaResult(comb(n, 2) - max_failure_edges(n, r), "complete_edge")
 
 
 # (family, mode) -> its closed forms, the one ``propconn formula`` reports
@@ -203,7 +199,7 @@ def formula_vs_oracle(spec: ClassSpec, r: Fraction, mode: str) -> DiscrepancyEnt
     ValueError before the graph is built or solved."""
     forms = formulas_for(spec, r, mode)
     solve = copvc_value if mode == "vertex" else copec_value
-    oracle = solve(spec.build(), forms[0].tau)
+    oracle = solve(spec.build(), threshold(r, spec.order))
     return DiscrepancyEntry(spec, r, mode, oracle, tuple(
         FormulaCheck(f.formula_id, f.value, f.value == oracle,
                      f.formula_id in PROVEN_FORMULAS)

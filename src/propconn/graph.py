@@ -1,5 +1,5 @@
-"""Simple undirected graphs with bitmask adjacency, plus the exact rational
-threshold machinery that decides when a graph counts as failed.
+"""Simple undirected graphs with bitmask adjacency, plus ``threshold``, the
+one exact floor(r*n) that decides when a graph counts as failed.
 
 A graph of order n uses vertex labels 0..n-1 and stores one integer bitmask
 per vertex (bit u of ``rows[v]`` set iff u and v are adjacent).  Graphs are
@@ -41,22 +41,23 @@ def parse_proportion(text: str) -> Fraction:
     return proportion(num, den)
 
 
-class Threshold(NamedTuple):
-    """Largest admissible component order: tau = floor(r * n) for the
-    original order n.
+def threshold(r: Fraction, n: int) -> int:
+    """Largest admissible component order, floor(r * n), for the original
+    order n.  Removals never shrink it: a pruned graph's components are
+    still measured against the order before anything was removed."""
+    if n < 1:
+        raise ValueError("threshold requires a positive original order")
+    return r.numerator * n // r.denominator
 
-    Removals never shrink the threshold; components of a pruned graph are
-    still measured against the order the graph had before anything was
-    removed.
-    """
+
+class Threshold(NamedTuple):
+    """``threshold`` as a record, read only by the benchmark harness."""
 
     tau: int
 
     @classmethod
     def for_order(cls, r: Fraction, n: int) -> "Threshold":
-        if n < 1:
-            raise ValueError("threshold requires a positive original order")
-        return cls(tau=(r.numerator * n) // r.denominator)
+        return cls(threshold(r, n))
 
 
 class Graph:
@@ -245,13 +246,18 @@ def upper_triangle_key(g: Graph) -> int:
     """g's upper-triangle adjacency bits read column-major, (0, 1), (0, 2),
     (1, 2), (0, 3), ..., the first pair at the highest bit: pair (i, j),
     i < j, is bit C(n,2) - 1 - C(j,2) - i.  This module owns that bit
-    order; the canonical form minimizes this key, and graph6 writes it in
-    base 64."""
+    order; ``graph_from_key`` inverts the key, the canonical form minimizes
+    it, and graph6 writes it in base 64."""
     key = 0
     for j, row in enumerate(g.rows):
         for i in range(j):
             key = key << 1 | row >> i & 1
     return key
+
+
+def graph_from_key(n: int, key: int) -> Graph:
+    """The order-n graph whose ``upper_triangle_key`` is key."""
+    return Graph(n, [e for p, e in enumerate(key_pairs(n)) if key >> p & 1])
 
 
 @lru_cache(maxsize=None)

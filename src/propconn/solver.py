@@ -35,7 +35,7 @@ the value and the lex-first set.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graph import Graph, Threshold, MAX_VERTICES
+from .graph import Graph, MAX_VERTICES, threshold
 
 # Largest component order the vertex search accepts: the largest k whose
 # slowest measured case stays under a minute.  Time peaks at mid tau; on a
@@ -215,7 +215,7 @@ def copvc_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
     (by sorted labels) is returned.
     """
     _check_solver_input(g)
-    chosen = _min_vertex_set(g, Threshold.for_order(r, g.n).tau)
+    chosen = _min_vertex_set(g, threshold(r, g.n))
     return DisconnectingWitness("vertex", tuple(chosen), len(chosen))
 
 
@@ -324,10 +324,10 @@ def copec_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
     MAX_EDGE_SOLVER_VERTICES.
     """
     _check_solver_input(g)
-    t = Threshold.for_order(r, g.n)
-    if t.tau == 0:
+    tau = threshold(r, g.n)
+    if tau == 0:
         return DisconnectingWitness("edge", (), None, feasible=False)
-    chosen = _min_edge_set(g, t.tau)
+    chosen = _min_edge_set(g, tau)
     return DisconnectingWitness("edge", tuple(chosen), len(chosen))
 
 
@@ -358,4 +358,4 @@ def verify_witness(g: Graph, r: Fraction, w: DisconnectingWitness) -> bool:
         h = g.remove_edges(w.elements)
     else:
         raise ValueError(f"unknown witness kind {w.kind!r}")
-    return h.is_failure_state(Threshold.for_order(r, g.n).tau)
+    return h.is_failure_state(threshold(r, g.n))

@@ -6,15 +6,15 @@ have an independent baseline to match.
 
 from collections import Counter
 from itertools import combinations, permutations
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, floor, gcd, lcm, prod
 
-from propconn.graph import Graph, Threshold
+from propconn.graph import Graph
 
 
 def brute_lex_first_vertex_set(g: Graph, r) -> tuple:
     """The first disconnecting subset in combinations(range(g.n), k) at the
     minimum k."""
-    tau = Threshold.for_order(r, g.n).tau
+    tau = floor(r * g.n)
     for k in range(g.n + 1):
         for subset in combinations(range(g.n), k):
             if g.remove_vertices(subset).is_failure_state(tau):
@@ -53,7 +53,7 @@ def scan_min_vertex_set(g: Graph, tau: int) -> list[int]:
 def brute_lex_first_edge_set(g: Graph, r) -> tuple | None:
     """The first disconnecting subset in combinations(g.edges(), k) at the
     minimum k, or None when infeasible."""
-    tau = Threshold.for_order(r, g.n).tau
+    tau = floor(r * g.n)
     edges = g.edges()
     for k in range(len(edges) + 1):
         for subset in combinations(edges, k):

@@ -109,6 +109,40 @@ def test_compute_infeasible_exit_code(tmp_path, capsys):
     assert json.loads(out)["witness"] == []
 
 
+def test_edge_statistics_at_zero_threshold_exit_infeasible(tmp_path, capsys):
+    # floor(3/4) = 0: edge removal cannot shrink order-1 components, so the
+    # edge statistics are refused up front with compute's reason
+    graph_file = tmp_path / "k1.el"
+    graph_file.write_text("n 1\n")
+    _, _, reason = run(capsys, "compute", "--graph", str(graph_file),
+                       "--r", "1/2", "--mode", "edge")
+    out_file = tmp_path / "scan.csv"
+    for stat in ("coemin", "coemax"):
+        for extra in ((), ("--enumerate",)):
+            code, out, err = run(capsys, "extremal", "--n", "3", "--m", "1",
+                                 "--r", "1/4", "--stat", stat, *extra)
+            assert (code, err) == (EXIT_INFEASIBLE, reason)
+            report = json.loads(out)
+            assert report["infeasible"] is True
+            assert report["inputs"]["stat"] == stat
+            assert (report["value"], report["method"]) == (None, None)
+            code, out, err = run(capsys, "scan", "--n", "3", "--r", "1/4",
+                                 "--stat", stat, "--all-m", *extra,
+                                 "--out", str(out_file))
+            assert (code, out, err) == (EXIT_INFEASIBLE, "", reason)
+            assert not out_file.exists()
+    # the vertex statistics keep their answers at floor(r*n) = 0
+    code, out, err = run(capsys, "extremal", "--n", "3", "--m", "1",
+                         "--r", "1/4", "--stat", "covmin")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "propconn: error: decomposition requires floor(r*n) >= 1\n"
+    code, out, _ = run(capsys, "extremal", "--n", "3", "--m", "1",
+                       "--r", "1/4", "--stat", "covmax")
+    assert code == EXIT_OK
+    assert (json.loads(out)["value"], json.loads(out)["method"]) == (
+        None, "unknown")
+
+
 def test_compute_rejects_decimal_ratio(tmp_path, capsys):
     graph_file = tmp_path / "p4.el"
     graph_file.write_text(serialize_edge_list(path(4)))

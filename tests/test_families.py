@@ -3,9 +3,9 @@ from math import comb
 
 import pytest
 
-from propconn.graph import complete
+from propconn.graph import complete, threshold
 from propconn.solver import copec_value, copvc_value
-from propconn.families import (PQDecomposition, build_max_failure_state,
+from propconn.families import (build_max_failure_state,
                                coemax_tail, coemin, coemin_witness,
                                complete_minus_two_disjoint_edges, covmax_tail,
                                covmin, covmin_piecewise_crosscheck,
@@ -21,10 +21,16 @@ HALF = Fraction(1, 2)
 
 
 def test_pq_decomposition():
-    d = PQDecomposition.of(7, HALF)
-    assert (d.tau, d.p, d.q) == (3, 2, 1)
-    with pytest.raises(ValueError):
-        PQDecomposition.of(3, Fraction(1, 4))
+    # n = 7 = 2*3 + 1 at r = 1/2: the densest failure state is 2 K_3 + K_1
+    assert threshold(HALF, 7) == 3
+    g = build_max_failure_state(7, HALF)
+    assert sorted(c.bit_count() for c in g.component_masks()) == [1, 3, 3]
+    assert g.m == max_failure_edges(7, HALF) == 6
+    # floor(n/4) = 0 at n = 3: there is no decomposition
+    for densest in (build_max_failure_state, max_failure_edges):
+        with pytest.raises(ValueError, match=r"^decomposition requires "
+                                             r"floor\(r\*n\) >= 1$"):
+            densest(3, Fraction(1, 4))
 
 
 def test_max_failure_edges_values():
@@ -113,7 +119,7 @@ def test_piecewise_crosscheck_examples():
 def test_piecewise_crosscheck_agrees_when_remainder_zero():
     # with q = 0 the case windows line up with the threshold scan
     for n, r in [(6, HALF), (4, HALF), (6, Fraction(1, 3)), (8, Fraction(1, 4))]:
-        assert PQDecomposition.of(n, r).q == 0
+        assert n % threshold(r, n) == 0
         for m in range(comb(n, 2) + 1):
             assert covmin_piecewise_crosscheck(n, m, r) == covmin(n, m, r)
 

@@ -5,9 +5,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from propconn.graph import (Graph, Threshold, complete, complete_bipartite,
-                            cycle, disjoint_union, edgeless, parse_proportion,
-                            path, proportion)
+import propconn
+from propconn.graph import (Graph, complete, complete_bipartite, cycle,
+                            disjoint_union, edgeless, parse_proportion, path,
+                            proportion, threshold)
 
 from conftest import graphs, proportions
 
@@ -33,20 +34,19 @@ def test_components_union():
 
 def test_failure_state_union_counterexample():
     g = disjoint_union(complete(3), complete(2))
-    t = Threshold.for_order(Fraction(1, 2), 5)
-    assert t.tau == 2
-    assert not g.is_failure_state(t.tau)
+    tau = threshold(Fraction(1, 2), 5)
+    assert tau == 2
+    assert not g.is_failure_state(tau)
 
 
 def test_failure_state_empty_graph_vacuous():
-    t = Threshold.for_order(Fraction(1, 2), 5)
-    assert edgeless(0).is_failure_state(t.tau)
+    assert edgeless(0).is_failure_state(threshold(Fraction(1, 2), 5))
 
 
 def test_failure_state_edgeless_quarter():
-    t = Threshold.for_order(Fraction(1, 4), 4)
-    assert t.tau == 1
-    assert edgeless(4).is_failure_state(t.tau)
+    tau = threshold(Fraction(1, 4), 4)
+    assert tau == 1
+    assert edgeless(4).is_failure_state(tau)
 
 
 def test_remove_middle_path_vertex():
@@ -106,7 +106,7 @@ def test_complement_involution(g):
 def test_failure_monotone_under_edge_removal(g, r):
     if g.n == 0:
         return
-    tau = Threshold.for_order(r, g.n).tau
+    tau = threshold(r, g.n)
     if not g.is_failure_state(tau):
         return
     edges = g.edges()
@@ -180,9 +180,20 @@ def test_threshold_exactness(den, data):
     num = data.draw(st.integers(1, den - 1))
     n = data.draw(st.integers(1, 10 ** 6))
     r = Fraction(num, den)
-    t = Threshold.for_order(r, n)
-    assert t.tau == math.floor(r * n)
-    assert 0 <= t.tau < n
+    tau = threshold(r, n)
+    assert tau == math.floor(r * n)
+    assert 0 <= tau < n
+    with pytest.raises(ValueError,
+                       match="^threshold requires a positive original order$"):
+        threshold(r, 0)
+
+
+def test_package_exports_resolve():
+    # every exported name is listed once and is defined by the package
+    assert len(set(propconn.__all__)) == len(propconn.__all__)
+    for name in propconn.__all__:
+        assert hasattr(propconn, name), name
+    assert propconn.threshold is threshold
 
 
 def test_proportion_validation():
