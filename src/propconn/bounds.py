@@ -174,13 +174,11 @@ def check_equal_partition_conjecture(n: int, m: int, k: int) -> ConjectureVerdic
     r = proportion(1, k)
     if n % k != 0:
         raise ValueError(f"k={k} must divide n={n}")
-    profile = family_profile(n, m, r)
-    if profile.edge_values is None:
-        raise ValueError("equal-partition check needs floor(r*n) >= 1")
-    coemax = max(profile.edge_values)
+    values = family_profile(n, m, r).edge_values
+    coemax = max(values)
     partitions = list(_balanced_partitions(n, k))
     best_cross = best_graph = fallback = None
-    for g, value in zip(enumerate_gnm(n, m), profile.edge_values):
+    for g, value in zip(enumerate_gnm(n, m), values):
         if value != coemax:
             continue
         if fallback is None:

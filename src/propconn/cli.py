@@ -130,7 +130,7 @@ def _cmd_compute(args) -> int:
         witness=witness_payload(witness) if args.witness else None,
         method=method,
     )
-    if not witness.feasible:
+    if witness.cardinality is None:
         return _infeasible(report)
     print(dump_report(report))
     return EXIT_OK

@@ -33,14 +33,12 @@ cached per n for the lifetime of the process, each as a dict from
 canonical key to graph in key order, so no key is computed twice.
 
 ``family_profile`` gives the exact vertex and edge values of every class
-of a level, solving each measure only when it is read.  Edge values are
-inherited along the parent relation, from any parent in G's own labels:
-for each 0 bit b of G's key c whose c + 2^b is a class one level up, that
-class is G plus the pair e at bit b, and when a minimum cut C of it holds
-e, C - e is a minimum cut of G (see ``family_profile``).  So a sweep that
-asks for the levels from C(n,2) down solves only the classes no parent's
-cut certifies; a value is exact by either route, so the request order
-changes only how many classes are solved.
+of a level, solving each measure only when it is read, into one store
+from (measure, n, m, tau) to a dict from canonical key to value.  Edge
+values are inherited from the minimum cuts of the parents one level up
+(see ``family_profile``), so a sweep that asks for the levels from C(n,2)
+down solves only the classes no parent's cut certifies; a value is exact
+by either route, so the request order changes only how many are solved.
 """
 
 from fractions import Fraction
@@ -237,22 +235,18 @@ def count_classes(n: int, m: int) -> int:
     return len(_level(n, m))
 
 
-# (n, m, tau) -> values of the classes of G(n, m), in enumerate_gnm order.
-_VERTEX_VALUES: dict[tuple[int, int, int], tuple[int, ...]] = {}
-_EDGE_VALUES: dict[tuple[int, int, int], tuple[int, ...]] = {}
-# (n, tau) -> {canonical key: minimum cut} of the last level of G(n, .)
-# whose edge values were solved at tau; a cut is a mask over key bits.
-_CUTS: dict[tuple[int, int], dict[int, int]] = {}
+# (measure, n, m, tau) -> {canonical key: value} of the classes of G(n, m),
+# in key order, for the measures "vertex" and "edge", filled when first
+# read.  An edge entry holds the class's minimum cut, a mask over key bits,
+# whose bit count is the edge value.
+_SOLVED: dict[tuple[str, int, int, int], dict[int, int]] = {}
 
 
 class FamilyProfile(NamedTuple):
     """Exact connectivity values of every class representative in G(n, m)
-    at tau = floor(r * n).  Each measure is solved when a caller first
-    reads it, and cached per (n, m, tau).
-
-    ``vertex_values`` and ``edge_values`` align with the enumerate_gnm order;
-    edge_values is None when tau = 0 (edge disconnection infeasible).
-    """
+    at tau = floor(r * n), each measure solved when a caller first reads it.
+    The values align with the enumerate_gnm order; edge_values is None when
+    tau = 0 (edge disconnection infeasible)."""
 
     n: int
     m: int
@@ -261,47 +255,45 @@ class FamilyProfile(NamedTuple):
 
     @property
     def vertex_values(self) -> tuple[int, ...]:
-        key = (self.n, self.m, self.tau)
-        if key not in _VERTEX_VALUES:
-            _VERTEX_VALUES[key] = tuple(
-                copvc_value(g, self.tau)
-                for g in _level(self.n, self.m).values())
-        return _VERTEX_VALUES[key]
+        return tuple(_solved("vertex", self).values())
 
     @property
     def edge_values(self) -> tuple[int, ...] | None:
         if self.tau == 0:
             return None
-        key = (self.n, self.m, self.tau)
-        if key not in _EDGE_VALUES:
-            _EDGE_VALUES[key] = _edge_values(self.n, self.m, self.r, self.tau)
-        return _EDGE_VALUES[key]
+        return tuple(map(int.bit_count, _solved("edge", self).values()))
 
 
-def _edge_values(n: int, m: int, r: Fraction, tau: int) -> tuple[int, ...]:
-    """Edge values of the classes of G(n, m), each taken from the cut of a
-    parent that holds the parent's extra pair, solved when no parent's
-    cut does."""
-    # A level-m key has m bits set, so key | bit can only hit level m + 1.
-    parent_cuts = _CUTS.get((n, tau), {})
-    bit_of = {pair: 1 << p for p, pair in enumerate(key_pairs(n))}
-    full = (1 << comb(n, 2)) - 1
-    cuts = {}
-    for key, g in _level(n, m).items():
-        # the 0 bits of key, lowest first: the pairs a parent may add to g
-        free = ~key & full
-        while free:
-            bit = free & -free
-            cut = parent_cuts.get(key | bit, 0)
-            if cut & bit:
-                cut ^= bit
-                break
-            free ^= bit
-        else:
-            cut = sum(bit_of[pair] for pair in copec_exact(g, r).elements)
-        cuts[key] = cut
-    _CUTS[n, tau] = cuts
-    return tuple(cut.bit_count() for cut in cuts.values())
+def _solved(measure: str, p: FamilyProfile) -> dict[int, int]:
+    """The store's entry for p's level and measure, solved the first time it
+    is read; edge cuts come from level m + 1 when it is stored."""
+    index = (measure, p.n, p.m, p.tau)
+    if index in _SOLVED:
+        return _SOLVED[index]
+    level = _level(p.n, p.m)
+    if measure == "vertex":
+        solved = {key: copvc_value(g, p.tau) for key, g in level.items()}
+    else:
+        # A level-m key has m bits set, so key | bit can only hit level m + 1.
+        parent_cuts = _SOLVED.get(("edge", p.n, p.m + 1, p.tau), {})
+        bit_of = {pair: 1 << b for b, pair in enumerate(key_pairs(p.n))}
+        full = (1 << comb(p.n, 2)) - 1
+        solved = {}
+        for key, g in level.items():
+            # the 0 bits of key, lowest first: the pairs a parent may add to g
+            free = ~key & full
+            while free:
+                bit = free & -free
+                cut = parent_cuts.get(key | bit, 0)
+                if cut & bit:
+                    cut ^= bit
+                    break
+                free ^= bit
+            else:
+                cut = sum(bit_of[pair] for pair in copec_exact(g, p.r).elements)
+            solved[key] = cut
+    _SOLVED[index] = solved
+    return solved
 
 
 def family_profile(n: int, m: int, r: Fraction) -> FamilyProfile:
@@ -319,7 +311,8 @@ def family_profile(n: int, m: int, r: Fraction) -> FamilyProfile:
     minimum cut of G, which certifies G's own children in turn.  G takes
     its cut from the first such P, lowest b first, whose cut holds e; a
     class with no such certificate is solved, and its lex-first cut is
-    kept.  The cuts of the last level solved are kept per (n, tau), so a
+    kept.  Every solved level's cuts stay stored per (n, m, tau), and a
+    level inherits whenever level m + 1 at the same tau is stored, so a
     sweep that asks for m from C(n, 2) down solves only the classes no
     parent certifies.  Either way each value is exact, so every request
     order gives the same values; the order only decides how many are

@@ -8,6 +8,7 @@ covmax and coemax only have known values in their tail regions, with the
 middle left to exact enumeration.  covmin, coemin and the two tails
 return values alone, by arithmetic; covmin_witness and coemin_witness build
 a canonical graph attaining the closed form, within canonical_graph's bound.
+At floor(r*n) = 0 the vertex statistics are n and the edge ones are refused.
 """
 
 from fractions import Fraction
@@ -32,6 +33,14 @@ class ExtremalResult(NamedTuple):
 def _check_m(n: int, m: int) -> None:
     if not 0 <= m <= comb(n, 2):
         raise ValueError(f"m={m} out of range for n={n}")
+
+
+def _edge_tau(n: int, r: Fraction) -> int:
+    """floor(r*n), refused at 0: edge removal cannot shrink single vertices."""
+    tau = threshold(r, n)
+    if tau < 1:
+        raise ValueError("edge statistics need floor(r*n) >= 1")
+    return tau
 
 
 def _decompose(order: int, tau: int) -> tuple[int, int]:
@@ -74,8 +83,10 @@ def covmin_threshold_f(k: int, n: int, r: Fraction) -> int:
 
 def covmin(n: int, m: int, r: Fraction) -> int:
     """Family minimum vertex value: the unique k with f(k-1) < m <= f(k),
-    found by an ascending scan (0 when m <= f(0))."""
+    found by an ascending scan (0 when m <= f(0), n when floor(r*n) = 0)."""
     _check_m(n, m)
+    if threshold(r, n) == 0:
+        return n
     k = 0
     while m > covmin_threshold_f(k, n, r):
         k += 1
@@ -86,10 +97,10 @@ def covmin_witness(n: int, m: int, r: Fraction) -> Graph:
     """Canonical graph of G(n, m) with vertex value k = covmin(n, m, r): the
     first m edges of k dominating vertices (the complement of a disjoint
     union of complements) joined to the densest failure state of the other
-    n-k.  Deletion never raises the value, and the family minimum at m
-    edges bounds it from below."""
+    n-k, which is empty at floor(r*n) = 0.  Deletion never raises the
+    value, and the family minimum at m edges bounds it from below."""
     k = covmin(n, m, r)
-    rest = _failure_state(n - k, threshold(r, n))
+    rest = _failure_state(n - k, threshold(r, n)) if k < n else Graph(0)
     base = disjoint_union(edgeless(k), rest.complement()).complement()
     return canonical_graph(Graph(n, base.edges()[:m]))
 
@@ -134,25 +145,25 @@ def coemin(n: int, m: int, r: Fraction) -> int:
     """Family minimum edge value: every edge beyond the densest failure
     state must be removed, and no fewer suffice."""
     _check_m(n, m)
-    return max(0, m - max_failure_edges(n, r))
+    return max(0, m - _failure_edges(n, _edge_tau(n, r)))
 
 
 def coemin_witness(n: int, m: int, r: Fraction) -> Graph:
     """Canonical graph of G(n, m) whose edge value is coemin(n, m, r): the
     densest failure state cut down, or filled up, to m edges."""
     _check_m(n, m)
-    base = build_max_failure_state(n, r)
+    base = _failure_state(n, _edge_tau(n, r))
     return canonical_graph(Graph(n, (base.edges() + base.non_edges())[:m]))
 
 
 def covmax_tail(n: int, m: int, r: Fraction) -> int | None:
     """Family maximum vertex value where it is known: 0 below tau edges,
-    n - tau within tau edges of complete; None in the middle."""
+    n - tau within tau edges of complete or at tau = 0; None otherwise."""
     _check_m(n, m)
     tau = threshold(r, n)
     if m < tau:
         return 0
-    if m > comb(n, 2) - tau:
+    if m > comb(n, 2) - tau or tau == 0:
         return n - tau
     return None
 
@@ -166,13 +177,11 @@ def coemax_tail(n: int, m: int, r: Fraction) -> int | None:
     m = C(n,2) - 2 when tau = n - 1.
     """
     _check_m(n, m)
-    tau = threshold(r, n)
-    if tau < 1:
-        return None
+    tau = _edge_tau(n, r)
     if m < tau:
         return 0
     if m == comb(n, 2):
-        return comb(n, 2) - max_failure_edges(n, r)
+        return comb(n, 2) - _failure_edges(n, tau)
     return None
 
 
@@ -193,8 +202,8 @@ def extremal_by_enumeration(n: int, m: int, r: Fraction,
     if stat not in _STATS:
         raise ValueError(f"stat must be one of {_STATS}, got {stat!r}")
     profile = family_profile(n, m, r)
-    if stat in ("coemin", "coemax") and profile.edge_values is None:
-        raise ValueError("edge statistics need floor(r*n) >= 1")
+    if stat in ("coemin", "coemax"):
+        _edge_tau(n, r)
     values = profile.vertex_values if stat.startswith("cov") else profile.edge_values
     value = min(values) if stat.endswith("min") else max(values)
     witness = next(g for g, v in zip(enumerate_gnm(n, m), values) if v == value)

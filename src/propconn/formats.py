@@ -102,8 +102,6 @@ def fraction_str(r: Fraction) -> str:
 
 def witness_payload(witness) -> list:
     """JSON-friendly form of a disconnecting witness' elements."""
-    if witness is None or not witness.feasible:
-        return []
     if witness.kind == "vertex":
         return sorted(witness.elements)
     return [list(pair) for pair in sorted(witness.elements)]

@@ -70,14 +70,13 @@ class DisconnectingWitness(NamedTuple):
     """A minimum disconnecting set, or an infeasibility marker.
 
     ``elements`` holds vertex labels for kind 'vertex' and (u, v) pairs with
-    u < v for kind 'edge'.  Infeasible only happens for edge removal with
-    tau = 0: single vertices can never be shrunk by deleting edges.
+    u < v for kind 'edge'.  Infeasible (cardinality None, no elements) only
+    happens for edge removal at tau = 0, which cannot shrink single vertices.
     """
 
     kind: str
     elements: tuple
     cardinality: int | None
-    feasible: bool = True
 
 
 def _check_solver_input(g: Graph) -> None:
@@ -317,7 +316,7 @@ def _min_edge_set(g: Graph, tau: int) -> list[tuple[int, int]]:
 def copec_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
     """Minimum edge disconnecting set of g at proportion r.
 
-    Returns feasible=False when tau = 0 (no edge removal shrinks an order-1
+    Returns cardinality None when tau = 0 (no edge removal shrinks an order-1
     component).  Among minimum sets the lexicographically smallest by sorted
     (u, v) pairs is returned (see ``_min_edge_set``).  Raises
     EdgeSolverLimitError when a component of order > tau is larger than
@@ -326,7 +325,7 @@ def copec_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
     _check_solver_input(g)
     tau = threshold(r, g.n)
     if tau == 0:
-        return DisconnectingWitness("edge", (), None, feasible=False)
+        return DisconnectingWitness("edge", (), None)
     chosen = _min_edge_set(g, tau)
     return DisconnectingWitness("edge", tuple(chosen), len(chosen))
 

@@ -33,7 +33,6 @@ def proportions(draw, max_denominator=12):
 
 
 def forget_family_profiles(monkeypatch):
-    """Give family_profile empty value and cut caches until the test ends,
-    so that later requests solve, or inherit, from scratch."""
-    for name in ("_VERTEX_VALUES", "_EDGE_VALUES", "_CUTS"):
-        monkeypatch.setattr(enumeration, name, {})
+    """Give family_profile an empty store until the test ends, so that later
+    requests solve, or inherit, from scratch."""
+    monkeypatch.setattr(enumeration, "_SOLVED", {})

@@ -131,16 +131,43 @@ def test_edge_statistics_at_zero_threshold_exit_infeasible(tmp_path, capsys):
                                  "--out", str(out_file))
             assert (code, out, err) == (EXIT_INFEASIBLE, "", reason)
             assert not out_file.exists()
-    # the vertex statistics keep their answers at floor(r*n) = 0
-    code, out, err = run(capsys, "extremal", "--n", "3", "--m", "1",
-                         "--r", "1/4", "--stat", "covmin")
-    assert code == EXIT_USAGE and out == ""
-    assert err == "propconn: error: decomposition requires floor(r*n) >= 1\n"
-    code, out, _ = run(capsys, "extremal", "--n", "3", "--m", "1",
-                       "--r", "1/4", "--stat", "covmax")
-    assert code == EXIT_OK
-    assert (json.loads(out)["value"], json.loads(out)["method"]) == (
-        None, "unknown")
+    # the vertex statistics keep their answers at floor(r*n) = 0: every
+    # vertex must go
+    for stat, method in (("covmin", "formula"), ("covmax", "tail")):
+        code, out, err = run(capsys, "extremal", "--n", "3", "--m", "1",
+                             "--r", "1/4", "--stat", stat)
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(out)
+        assert (report["value"], report["method"]) == (3, method)
+
+
+def test_vertex_statistics_at_zero_threshold_match_enumeration(tmp_path,
+                                                               capsys):
+    # floor(3/4) = 0: every graph of G(3, m) has vertex value 3, and the
+    # covmin witness, the first m pairs of K_3, is the enumeration's
+    for stat in ("covmin", "covmax"):
+        code, out, err = run(capsys, "extremal", "--n", "3", "--m", "1",
+                             "--r", "1/4", "--stat", stat, "--enumerate")
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(out)
+        assert report["value"] == report["enumeration"]["value"] == 3
+        assert report["discrepancies"] == []
+        if stat == "covmin":
+            assert report["witness"] == report["enumeration"]["witness"]
+        rows = {}
+        for extra in ((), ("--enumerate",)):
+            out_file = tmp_path / f"scan-{stat}-{len(extra)}.csv"
+            code, _, err = run(capsys, "scan", "--n", "3", "--r", "1/4",
+                               "--stat", stat, "--all-m", "--witness", *extra,
+                               "--out", str(out_file))
+            assert (code, err) == (EXIT_OK, "")
+            with open(out_file, newline="") as handle:
+                rows[extra] = list(csv.DictReader(handle))
+        assert [row["value"] for row in rows["--enumerate",]] == ["3"] * 4
+        assert [row["value"] for row in rows[()]] == ["3"] * 4
+        if stat == "covmin":
+            assert ([row["witness_graph6"] for row in rows[()]]
+                    == [row["witness_graph6"] for row in rows["--enumerate",]])
 
 
 def test_compute_rejects_decimal_ratio(tmp_path, capsys):

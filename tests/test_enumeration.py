@@ -378,6 +378,20 @@ def test_inherited_edge_values_match_direct_solves(monkeypatch):
                 assert len(solved) == G7_TOP_DOWN_EDGE_SOLVES[tau], tau
 
 
+def test_edge_level_inherits_from_any_stored_level_above(monkeypatch):
+    # Level 15, read between levels 20 and 19, does not stop level 19 from
+    # inheriting level 20's cuts.
+    forget_family_profiles(monkeypatch)
+    solved = _count_edge_solves(monkeypatch)
+    counts = {}
+    for m in (20, 15, 19):
+        solved.clear()
+        values = family_profile(7, m, Fraction(3, 7)).edge_values
+        counts[m] = len(solved)
+        assert values == tuple(copec_value(g, 3) for g in enumerate_gnm(7, m))
+    assert counts == {20: 1, 15: count_classes(7, 15), 19: 1}
+
+
 def _requests(n, order):
     """The levels of G(n, .) in the given request order."""
     ms = list(range(comb(n, 2) + 1))

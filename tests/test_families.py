@@ -144,10 +144,31 @@ def test_tail_values():
     # the full upper tail stops strictly before m = C(n,2)
     assert coemax_tail(5, 9, Fraction(9, 10)) is None
     assert coemax_tail(5, 10, Fraction(9, 10)) == comb(5, 2) - comb(4, 2)
-    # no tail is known where floor(r*n) = 0
+    # floor(r*n) = 0: every vertex must go, and no edge removal suffices
     for m in range(comb(3, 2) + 1):
-        assert covmax_tail(3, m, Fraction(1, 4)) is None
-        assert coemax_tail(3, m, Fraction(1, 4)) is None
+        assert covmax_tail(3, m, Fraction(1, 4)) == 3
+        with pytest.raises(ValueError, match="edge statistics need"):
+            coemax_tail(3, m, Fraction(1, 4))
+
+
+def test_zero_threshold_vertex_statistics_are_n():
+    quarter = Fraction(1, 4)
+    for m in range(comb(3, 2) + 1):
+        assert covmin(3, m, quarter) == 3
+        witness = covmin_witness(3, m, quarter)
+        assert witness.m == m and copvc_value(witness, 0) == 3
+        assert witness == next(enumerate_gnm(3, m))
+
+
+def test_edge_statistics_refuse_zero_threshold_alike():
+    quarter = Fraction(1, 4)
+    entry_points = (coemin, coemax_tail,
+                    lambda n, m, r: extremal_by_enumeration(n, m, r, "coemin"),
+                    lambda n, m, r: extremal_by_enumeration(n, m, r, "coemax"))
+    for entry in entry_points:
+        with pytest.raises(ValueError) as info:
+            entry(3, 1, quarter)
+        assert str(info.value) == "edge statistics need floor(r*n) >= 1"
 
 
 def test_tails_match_enumeration_wherever_defined():

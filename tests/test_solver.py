@@ -26,7 +26,7 @@ HALF = Fraction(1, 2)
 
 def test_copvc_path_middle_vertex():
     w = copvc_exact(path(4), HALF)
-    assert w.cardinality == 1 and w.elements == (1,) and w.feasible
+    assert w.cardinality == 1 and w.elements == (1,)
 
 
 def test_copvc_complete_five():
@@ -55,7 +55,7 @@ def test_copec_complete_six():
 
 def test_copec_single_vertex_infeasible():
     w = copec_exact(Graph(1), HALF)
-    assert not w.feasible and w.cardinality is None and w.elements == ()
+    assert w.cardinality is None and w.elements == ()
 
 
 def test_copec_lexicographic_tie_break():
@@ -94,7 +94,7 @@ def assert_lex_first_edge_witness(g, r):
     w = copec_exact(g, r)
     expected = brute_lex_first_edge_set(g, r)
     if expected is None:
-        assert not w.feasible
+        assert w.cardinality is None
     else:
         assert w.elements == expected and w.cardinality == len(expected)
 
@@ -149,10 +149,10 @@ def test_monotone_in_r(g):
     vertex_values = [copvc_exact(g, r).cardinality for r in SOLVER_GRID]
     assert vertex_values == sorted(vertex_values, reverse=True)
     edge_values = [copec_exact(g, r) for r in SOLVER_GRID]
-    finite = [w.cardinality for w in edge_values if w.feasible]
+    finite = [w.cardinality for w in edge_values if w.cardinality is not None]
     assert finite == sorted(finite, reverse=True)
     # infeasibility only happens while tau = 0, i.e. at the small-r end
-    feasibility = [w.feasible for w in edge_values]
+    feasibility = [w.cardinality is not None for w in edge_values]
     assert feasibility == sorted(feasibility)
 
 
@@ -181,7 +181,7 @@ def test_solver_witnesses_verify(g, r):
     assert verify_witness(g, r, wv)
     assert len(wv.elements) == wv.cardinality
     we = copec_exact(g, r)
-    if we.feasible:
+    if we.cardinality is not None:
         assert verify_witness(g, r, we)
         assert len(we.elements) == we.cardinality
     else:
