@@ -235,11 +235,13 @@ def count_classes(n: int, m: int) -> int:
     return len(_level(n, m))
 
 
-# (measure, n, m, tau) -> {canonical key: value} of the classes of G(n, m),
-# in key order, for the measures "vertex" and "edge", filled when first
-# read.  An edge entry holds the class's minimum cut, a mask over key bits,
-# whose bit count is the edge value.
-_SOLVED: dict[tuple[str, int, int, int], dict[int, int]] = {}
+# (measure, n, m, tau) -> ({canonical key: solution}, values) for the
+# classes of G(n, m), in key order, for the measures "vertex" and "edge",
+# filled when first read.  A vertex solution is the value; an edge solution
+# is the class's minimum cut, a mask over key bits, whose bit count is the
+# edge value.
+_SOLVED: dict[tuple[str, int, int, int],
+              tuple[dict[int, int], tuple[int, ...]]] = {}
 
 
 class FamilyProfile(NamedTuple):
@@ -255,27 +257,30 @@ class FamilyProfile(NamedTuple):
 
     @property
     def vertex_values(self) -> tuple[int, ...]:
-        return tuple(_solved("vertex", self).values())
+        return _solved("vertex", self)
 
     @property
     def edge_values(self) -> tuple[int, ...] | None:
         if self.tau == 0:
             return None
-        return tuple(map(int.bit_count, _solved("edge", self).values()))
+        return _solved("edge", self)
 
 
-def _solved(measure: str, p: FamilyProfile) -> dict[int, int]:
-    """The store's entry for p's level and measure, solved the first time it
-    is read; edge cuts come from level m + 1 when it is stored."""
+def _solved(measure: str, p: FamilyProfile) -> tuple[int, ...]:
+    """The values of p's level for the measure, from the store, which
+    solves the level the first time it is read; edge cuts come from level
+    m + 1 when it is stored."""
     index = (measure, p.n, p.m, p.tau)
     if index in _SOLVED:
-        return _SOLVED[index]
+        return _SOLVED[index][1]
     level = _level(p.n, p.m)
     if measure == "vertex":
         solved = {key: copvc_value(g, p.tau) for key, g in level.items()}
+        values = tuple(solved.values())
     else:
         # A level-m key has m bits set, so key | bit can only hit level m + 1.
-        parent_cuts = _SOLVED.get(("edge", p.n, p.m + 1, p.tau), {})
+        parent = _SOLVED.get(("edge", p.n, p.m + 1, p.tau))
+        parent_cuts = parent[0] if parent else {}
         bit_of = {pair: 1 << b for b, pair in enumerate(key_pairs(p.n))}
         full = (1 << comb(p.n, 2)) - 1
         solved = {}
@@ -292,8 +297,9 @@ def _solved(measure: str, p: FamilyProfile) -> dict[int, int]:
             else:
                 cut = sum(bit_of[pair] for pair in copec_exact(g, p.r).elements)
             solved[key] = cut
-    _SOLVED[index] = solved
-    return solved
+        values = tuple(map(int.bit_count, solved.values()))
+    _SOLVED[index] = solved, values
+    return values
 
 
 def family_profile(n: int, m: int, r: Fraction) -> FamilyProfile:

@@ -74,10 +74,14 @@ def build_max_failure_state(n: int, r: Fraction) -> Graph:
 def covmin_threshold_f(k: int, n: int, r: Fraction) -> int:
     """Edge budget f(k) below which the family minimum vertex value stays
     at most k: a k-clique joined to everything plus the densest failure
-    state on the other n-k vertices."""
+    state on the other n-k vertices.  At floor(r*n) = 0 every vertex must
+    go, so k = n is the only value, with f(n) = C(n, 2)."""
     tau = threshold(r, n)
-    if not 0 <= k <= n - tau:
-        raise ValueError(f"k={k} out of range [0, {n - tau}]")
+    low = 0 if tau else n
+    if not low <= k <= n - tau:
+        raise ValueError(f"k={k} out of range [{low}, {n - tau}]")
+    if tau == 0:
+        return comb(n, 2)
     return k * (n - k) + comb(k, 2) + _failure_edges(n - k, tau)
 
 
@@ -115,8 +119,10 @@ def covmin_piecewise_crosscheck(n: int, m: int, r: Fraction) -> int | None:
     never patched here.
     """
     tau = threshold(r, n)
-    p, q = _decompose(n, tau)
     _check_m(n, m)
+    if tau == 0:
+        return None
+    p, q = _decompose(n, tau)
     a = p * comb(tau, 2) + comb(q, 2)
     b = a + q * p * tau
 

@@ -24,12 +24,11 @@ the one test, and its witness tells which removals call for a new test.
 Edge side: a minimum edge disconnecting set is exactly the set of edges
 crossing an optimal partition of the vertices into parts of order at most
 tau (removing an edge internal to a surviving component would contradict
-minimality).  One dynamic program over the component's connected parts of
-order at most tau (``_best_partition_score``), whose work shrinks with
-tau, maximizes lex scores: its optimum keeps the most edges inside parts
-and, among those partitions, cuts the lexicographically first minimum set,
-which is decoded from the optimal score alone.  That one pass gives both
-the value and the lex-first set.
+minimality).  One dynamic program (``_best_partition_score``) grows each
+connected part of order at most tau once, one frame per part, scores it
+from the new vertex's edges into the part, and maximizes lex scores: its
+optimum keeps the most edges inside parts and, among those partitions,
+cuts the lex-first minimum set, decoded from the optimal score alone.
 """
 
 from fractions import Fraction
@@ -47,10 +46,9 @@ MAX_VERTEX_SOLVER_VERTICES = 39
 
 # Largest component order the edge DP accepts.  A component of order k
 # needs a table of 2^k scores, and at mid to high tau its time grows about
-# 3x per vertex; on a 2-vCPU CPython 3.11 machine the slowest witness
-# solve over tau took 0.17 s at k = 14, 1.4 s at k = 16 and 11 s (25 MB
-# peak RSS) at k = 18 for a connected G(k, 1/2), and 0.22 / 1.5 / 16 s
-# for K_k.
+# 3x per vertex; on a 2-vCPU CPython 3.11 machine the slowest witness solve
+# over tau of a connected G(k, 1/2) took 0.08 / 0.69 / 5.6 s at k = 14 /
+# 16 / 18 (25 MB peak RSS at 18), and of K_k 0.10 / 0.83 / 9.0 s.
 MAX_EDGE_SOLVER_VERTICES = 18
 
 
@@ -231,50 +229,55 @@ def _best_partition_score(h: Graph, tau: int) -> int:
     parts are grown.  best[s] is finished for the sets s with lowest vertex
     l from l = h.n - 1 down to 0: the part holding l is {l} (best[s - {l}])
     or a connected part p, which pushes score(p) + best[t] onto best[p | t]
-    for each set t of higher vertices outside p.  At l = 0 only the full
-    set is needed.
+    for each set t of higher vertices outside p; at l = 0 only onto the
+    full set.  A frame (part, order of its children, score, candidates,
+    banned) adds each candidate v to the part in turn and then bans v, so
+    each connected part is grown once (Wernicke's extension sets).
     """
     edges = h.edges()
     top = 1 << len(edges)
-    links = [[] for _ in range(h.n)]
+    rows = h.rows
+    weight = [[0] * h.n for _ in range(h.n)]
     for i, (u, v) in enumerate(edges):
-        w = top - (top >> (i + 1))
-        links[u].append((1 << v, w))
-        links[v].append((1 << u, w))
+        weight[u][v] = weight[v][u] = top - (top >> (i + 1))
     full = (1 << h.n) - 1
     best = [0] * (full + 1)
     for l in range(h.n - 1, -1, -1):
         low = 1 << l
         above = full ^ (2 * low - 1)
         best[low::2 * low] = best[::2 * low]
-        # Entries are (part, order, score, candidates, banned); each adds
-        # its lowest candidate and leaves a sibling that bans it, so every
-        # connected part holding l is grown once.
-        stack = [(low, 1, 0, h.rows[l] & above, 0)]
+        stack = [(low, 2, 0, rows[l] & above, 0)] if tau > 1 else []
         while stack:
-            part, size, score, cand, banned = stack.pop()
-            if not cand or size == tau:
-                continue
-            bit = cand & -cand
-            cand ^= bit
-            stack.append((part, size, score, cand, banned | bit))
-            v = bit.bit_length() - 1
-            p = part | bit
-            s = score + sum(w for u, w in links[v] if part & u)
-            rest = above & ~p
-            if l == 0:
-                best[full] = max(best[full], s + best[rest])
-            else:
-                t = rest
-                while True:
-                    c = s + best[t]
-                    if c > best[p | t]:
-                        best[p | t] = c
-                    if not t:
-                        break
-                    t = (t - 1) & rest
-            stack.append((p, size + 1, s, cand | (h.rows[v] & rest & ~banned),
-                          banned))
+            part, order, score, cand, banned = stack.pop()
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                v = bit.bit_length() - 1
+                p, s = part | bit, score
+                wv, inner = weight[v], rows[v] & part
+                while inner:
+                    u = inner.bit_length() - 1
+                    s += wv[u]
+                    inner ^= 1 << u
+                rest = above & ~p
+                if l == 0:
+                    c = s + best[rest]
+                    if c > best[full]:
+                        best[full] = c
+                else:
+                    if s > best[p]:
+                        best[p] = s
+                    t = rest
+                    while t:
+                        q = p | t
+                        c = s + best[t]
+                        if c > best[q]:
+                            best[q] = c
+                        t = (t - 1) & rest
+                if order < tau:
+                    stack.append((p, order + 1, s,
+                                  cand | (rows[v] & rest & ~banned), banned))
+                banned |= bit
     return best[full]
 
 
@@ -282,15 +285,12 @@ def _lex_first_cut(h: Graph, tau: int) -> list[tuple[int, int]]:
     """The lexicographically first minimum cut of h, in h's labels, decoded
     from the optimal lex score of one partition DP.
 
-    A kept edge set K scores |K| * 2^E - mask(K), where mask(K) sets bit
-    E-1-i for each kept edge i and 0 <= mask(K) < 2^E, so the score fixes
-    |K| (rounded up from score / 2^E) and then mask(K).
+    A kept edge set K scores |K| * 2^E - mask(K), where mask(K) < 2^E sets
+    bit E-1-i for each kept edge i, so mask(K) is -score mod 2^E.
     """
     edges = h.edges()
     top = 1 << len(edges)
-    score = _best_partition_score(h, tau)
-    kept = -(-score // top)
-    mask = kept * top - score
+    mask = -_best_partition_score(h, tau) % top
     return [e for i, e in enumerate(edges) if not mask & (top >> (i + 1))]
 
 

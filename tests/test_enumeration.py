@@ -439,6 +439,17 @@ def test_family_profile_solves_only_the_measure_read(monkeypatch):
             family_profile(n, m, Fraction(1, 2))
 
 
+def test_values_are_stored_once_per_level(monkeypatch):
+    # Each read of a stored level hands back the same tuple, counted once
+    # when the level was solved.
+    forget_family_profiles(monkeypatch)
+    for m in (10, 11):
+        first = family_profile(7, m, Fraction(1, 3))
+        again = family_profile(7, m, Fraction(1, 3))
+        assert first.edge_values is again.edge_values
+        assert first.vertex_values is again.vertex_values
+
+
 def check_family_net(n):
     """Check three facts over every class of G(n, .), at every tau from 1
     to n - 1 and for both measures, and return the number of parent pairs

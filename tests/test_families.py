@@ -76,6 +76,18 @@ def test_covmin_threshold_values():
         covmin_threshold_f(4, 6, HALF)
 
 
+def test_covmin_threshold_at_tau_zero():
+    # At floor(r*n) = 0 every vertex must go: k = n is the only value, and
+    # the piecewise labeling has no case for it.
+    quarter = Fraction(1, 4)
+    assert covmin_threshold_f(3, 3, quarter) == comb(3, 2)
+    for k in (0, 1, 2, 4):
+        with pytest.raises(ValueError, match=r"out of range \[3, 3\]"):
+            covmin_threshold_f(k, 3, quarter)
+    assert [covmin_piecewise_crosscheck(3, m, quarter)
+            for m in range(comb(3, 2) + 1)] == [None] * 4
+
+
 def test_covmin_values():
     assert covmin(6, 6, HALF) == 0
     assert covmin(6, 9, HALF) == 1

@@ -6,8 +6,9 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propconn.graph import (Graph, complete, cycle, disjoint_union, edgeless,
-                            path)
+from propconn.formulas import copec_path
+from propconn.graph import (Graph, complete, complete_bipartite, cycle,
+                            disjoint_union, edgeless, path)
 from propconn.solver import (MAX_EDGE_SOLVER_VERTICES,
                              MAX_VERTEX_SOLVER_VERTICES, DisconnectingWitness,
                              EdgeSolverLimitError, VertexSolverLimitError,
@@ -373,21 +374,54 @@ def test_vertex_solver_limit_is_pinned():
                        Fraction(40, 42)).cardinality == 0
 
 
-def test_partition_score_matches_all_submask_reference():
-    # The connected-part DP against the all-submask DP it replaced, which
-    # tries every part, connected or not: every class of G(7, .) at tau
-    # 1-6, then seeded G(n, p) draws at n = 9-12, one tau each.
-    cases = [(g, range(1, 7)) for m in range(comb(7, 2) + 1)
-             for g in enumerate_gnm(7, m)]
-    rng = random.Random(11)
-    for i in range(32):
-        n = 9 + i % 4
-        p = (0.2, 0.4, 0.6, 0.8)[i // 4 % 4]
+def assert_partition_reference(g, taus):
+    """The connected-part DP against the all-submask DP it replaced, which
+    tries every part, connected or not, on g at each tau of taus."""
+    inside = lex_edge_scores(g)
+    for tau in taus:
+        assert (_best_partition_score(g, tau)
+                == partition_dp(inside, tau)), (g, tau)
+
+
+def check_partition_reference(orders, count, seed, every_tau=False):
+    """The reference check on ``count`` seeded G(n, p) draws, n cycling
+    through ``orders`` and p through 0.2-0.8, at one drawn tau per graph,
+    or at every tau from 1 to n - 1.  Returns the number of (graph, tau)
+    pairs checked."""
+    rng = random.Random(seed)
+    checked = 0
+    for i in range(count):
+        n = orders[i % len(orders)]
+        p = (0.2, 0.4, 0.6, 0.8)[i // len(orders) % 4]
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                       if rng.random() < p])
-        cases.append((g, (rng.randint(1, n - 1),)))
-    for g, taus in cases:
-        inside = lex_edge_scores(g)
-        for tau in taus:
-            assert (_best_partition_score(g, tau)
-                    == partition_dp(inside, tau)), (g, tau)
+        drawn = rng.randint(1, n - 1)
+        taus = range(1, n) if every_tau else (drawn,)
+        assert_partition_reference(g, taus)
+        checked += len(taus)
+    return checked
+
+
+def test_partition_score_matches_all_submask_reference():
+    # Every class of G(7, .) at tau 1-6, then seeded G(n, p) draws at
+    # n = 9-12, one tau each.
+    for m in range(comb(7, 2) + 1):
+        for g in enumerate_gnm(7, m):
+            assert_partition_reference(g, range(1, 7))
+    assert check_partition_reference((9, 10, 11, 12), 32, seed=11) == 32
+    # Every tau of: K_2..K_9, whose parts reach the deepest frames; stars,
+    # whose hub has every other vertex as a candidate; a graph whose vertex
+    # 0 is isolated, so level 0 adds only the singleton; P_12 and C_12.
+    shapes = ([complete(k) for k in range(2, 10)]
+              + [complete_bipartite(1, k) for k in range(2, 10)]
+              + [disjoint_union(edgeless(1), complete(4), path(4)),
+                 path(12), cycle(12)])
+    for g in shapes:
+        assert_partition_reference(g, range(1, g.n))
+
+
+def test_edge_dp_at_the_solver_bound_on_a_path():
+    # P_18 at tau = 17 grows parts of 17 vertices, the deepest frames the
+    # solver bound allows; one cut anywhere leaves two short paths.
+    n = MAX_EDGE_SOLVER_VERTICES
+    assert copec_value(path(n), n - 1) == copec_path(n, Fraction(n - 1, n)).value
