@@ -209,9 +209,9 @@ def _cmd_scan(args) -> int:
         return _infeasible()
     rows = []
     code = EXIT_OK
-    # Solved from m = C(n, 2) down, so that enumerated edge values inherit
-    # from their parents' cuts (see enumeration.family_profile); reported
-    # in ascending m.
+    # Solved from m = C(n, 2) down, so that each enumerated level, vertex
+    # or edge, is bounded by the level above (see
+    # enumeration.family_profile); reported in ascending m.
     results = [_stat_value(stat, n, m, r, args.enumerate_) for m in reversed(ms)]
     for m, (value, method, truth, mismatch, m_code) in zip(
             ms, reversed(results)):

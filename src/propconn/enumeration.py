@@ -34,11 +34,14 @@ canonical key to graph in key order, so no key is computed twice.
 
 ``family_profile`` gives the exact vertex and edge values of every class
 of a level, solving each measure only when it is read, into one store
-from (measure, n, m, tau) to a dict from canonical key to value.  Edge
-values are inherited from the minimum cuts of the parents one level up
-(see ``family_profile``), so a sweep that asks for the levels from C(n,2)
-down solves only the classes no parent's cut certifies; a value is exact
-by either route, so the request order changes only how many are solved.
+from (measure, n, m, tau) to a dict from canonical key to solution (the
+vertex value, or the edge minimum cut).  A level is bounded by its
+parents one level up, read by key: each parent's value is the class's
+value or one more (see ``family_profile``).  So a sweep that asks for the
+levels from C(n,2) down takes many values and cuts from the parents with
+no solve, and bounds the vertex search of most of the rest.  A value is
+exact by every route, so the request order changes only how much is
+solved.
 """
 
 from fractions import Fraction
@@ -47,7 +50,7 @@ from typing import NamedTuple
 
 from .graph import (Graph, complete, graph_from_key, key_pairs, threshold,
                     upper_triangle_key)
-from .solver import copvc_value, copec_exact
+from .solver import copvc_bounded, copvc_value, copec_exact
 
 MAX_ENUM_VERTICES = 8
 
@@ -268,36 +271,51 @@ class FamilyProfile(NamedTuple):
 
 def _solved(measure: str, p: FamilyProfile) -> tuple[int, ...]:
     """The values of p's level for the measure, from the store, which
-    solves the level the first time it is read; edge cuts come from level
-    m + 1 when it is stored."""
+    solves the level the first time it is read, bounded by level m + 1 when
+    it is stored (see ``family_profile``)."""
     index = (measure, p.n, p.m, p.tau)
     if index in _SOLVED:
         return _SOLVED[index][1]
-    level = _level(p.n, p.m)
-    if measure == "vertex":
-        solved = {key: copvc_value(g, p.tau) for key, g in level.items()}
-        values = tuple(solved.values())
-    else:
-        # A level-m key has m bits set, so key | bit can only hit level m + 1.
-        parent = _SOLVED.get(("edge", p.n, p.m + 1, p.tau))
-        parent_cuts = parent[0] if parent else {}
-        bit_of = {pair: 1 << b for b, pair in enumerate(key_pairs(p.n))}
-        full = (1 << comb(p.n, 2)) - 1
-        solved = {}
-        for key, g in level.items():
-            # the 0 bits of key, lowest first: the pairs a parent may add to g
-            free = ~key & full
-            while free:
-                bit = free & -free
-                cut = parent_cuts.get(key | bit, 0)
-                if cut & bit:
-                    cut ^= bit
+    # A level-m key has m bits set, so key | bit can only hit level m + 1.
+    parent = _SOLVED.get((measure, p.n, p.m + 1, p.tau))
+    get = (parent[0] if parent else {}).get
+    bit_of = {pair: 1 << b for b, pair in enumerate(key_pairs(p.n))}
+    full = (1 << comb(p.n, 2)) - 1
+    edge = measure == "edge"
+    solved = {}
+    for key, g in _level(p.n, p.m).items():
+        # The parents key | bit, lowest bit first, until one decides the
+        # class's solution; hi is their value while they all agree.
+        hi = None
+        free = ~key & full
+        while free:
+            bit = free & -free
+            solution = get(key | bit)
+            if solution is not None:
+                if edge and solution & bit:
+                    solved[key] = solution ^ bit
                     break
-                free ^= bit
+                value = solution.bit_count() if edge else solution
+                if hi is None:
+                    hi, first = value, solution
+                    if hi == 0:
+                        solved[key] = solution
+                        break
+                elif value != hi:
+                    # parent values differ by at most 1: the lower is G's
+                    solved[key] = first if hi < value else solution
+                    break
+            free ^= bit
+        else:
+            if edge:
+                solved[key] = sum(bit_of[pair]
+                                  for pair in copec_exact(g, p.r).elements)
+            elif hi is None:
+                solved[key] = copvc_value(g, p.tau)
             else:
-                cut = sum(bit_of[pair] for pair in copec_exact(g, p.r).elements)
-            solved[key] = cut
-        values = tuple(map(int.bit_count, solved.values()))
+                solved[key] = copvc_bounded(g, p.tau, hi)
+    values = tuple(map(int.bit_count, solved.values()) if edge
+                   else solved.values())
     _SOLVED[index] = solved, values
     return values
 
@@ -307,22 +325,36 @@ def family_profile(n: int, m: int, r: Fraction) -> FamilyProfile:
     Raises ValueError at the call when n or m is out of range; solves
     nothing until a measure is read.
 
-    Edge values are inherited down the orderly-generation tree.  Let G be a
-    class with key c, and b a 0 bit of c such that c + 2^b is the key of a
-    class P at level m + 1.  A key determines its graph, so P is G plus the
-    pair e at bit b, in the same labels; the lowest 0 bit of c always gives
-    such a P, G's canonical parent.  Let C be a minimum cut of P.  If e is
-    in C, then G - (C - e) = P - C, so C - e is a cut of G; and any cut D
-    of G gives the cut D + e of P.  So G's value is |C| - 1, and C - e is a
-    minimum cut of G, which certifies G's own children in turn.  G takes
-    its cut from the first such P, lowest b first, whose cut holds e; a
-    class with no such certificate is solved, and its lex-first cut is
-    kept.  Every solved level's cuts stay stored per (n, m, tau), and a
-    level inherits whenever level m + 1 at the same tau is stored, so a
-    sweep that asks for m from C(n, 2) down solves only the classes no
-    parent certifies.  Either way each value is exact, so every request
-    order gives the same values; the order only decides how many are
-    solved.
+    Each level is bounded by the level above, along the orderly-generation
+    tree.  Let G be a class with key c, and b a 0 bit of c such that
+    c + 2^b is the key of a class P at level m + 1.  A key determines its
+    graph, so P is G plus the pair e at bit b, in the same labels; the
+    lowest 0 bit of c always gives such a P, G's canonical parent.  For
+    both measures value(P) - 1 <= value(G) <= value(P): a solution of P
+    (less e, for a cut) solves G, and a solution of G plus e, or plus one
+    end of e, solves P.  So G's value lies in [max(top - 1, 0), hi], where
+    hi and top are the least and the most value among its parents.  The
+    parents are read lowest b first, and the first rule that applies
+    gives G's solution:
+
+    - Edge, held pair.  Let C be a minimum cut of P.  If e is in C, then
+      G - (C - e) = P - C, so C - e is a cut of G, and G's value is
+      |C| - 1: C - e is a minimum cut of G.
+    - One value.  When the interval holds one value, it is G's.  A parent
+      P of value hi gives the solution: the vertex value hi, or P's
+      minimum cut C.  C does not hold e, since C - e would then cut G with
+      hi - 1 edges; so C is a set of G's edges, and G - C, a subgraph of
+      P - C, is failed: C is a minimum cut of G.
+    - Otherwise an edge value is solved, and its lex-first cut kept.  A
+      vertex value is hi or hi - 1, and one search bounded by hi
+      (``copvc_bounded``) decides which.
+
+    Every solved level stays stored per (measure, n, m, tau), and a level
+    is bounded whenever level m + 1 at the same tau is stored, so a sweep
+    that asks for m from C(n, 2) down solves only the classes no parent
+    decides, mostly with a bound.  Either way each value is exact, so
+    every request order gives the same values; the order only decides how
+    much is solved.
     """
     tau = threshold(r, n)
     enumerate_gnm(n, m)

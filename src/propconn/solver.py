@@ -20,6 +20,8 @@ that cannot keep more than the incumbent is cut, also when counting what
 the kept part a vertex joins must shed among its undecided neighbours.
 The search has no failure test of its own: ``Graph.oversized_part`` is
 the one test, and its witness tells which removals call for a new test.
+A caller that knows the value within one (``copvc_bounded``) runs the
+same search from that bound and stops at the first set that beats it.
 
 Edge side: a minimum edge disconnecting set is exactly the set of edges
 crossing an optimal partition of the vertices into parts of order at most
@@ -84,6 +86,17 @@ def _check_solver_input(g: Graph) -> None:
         raise ValueError(f"graph order {g.n} exceeds solver bound {MAX_VERTICES}")
 
 
+def _oversized(g: Graph, tau: int, bound: int, error: type) -> list[int]:
+    """The vertex masks of the components of g of order > tau, smallest
+    order first.  Raises ``error`` when one is larger than bound."""
+    oversized = sorted((m for m in g.component_masks() if m.bit_count() > tau),
+                       key=int.bit_count)
+    if oversized and oversized[-1].bit_count() > bound:
+        raise error(f"component of order {oversized[-1].bit_count()} exceeds "
+                    f"the {error.solver} solver bound {bound}")
+    return oversized
+
+
 def _solve_components(g: Graph, tau: int, bound: int, error: type, solve):
     """The sorted union of solve(comp) over the vertex masks comp of the
     components of g of order > tau, where solve returns the
@@ -95,19 +108,14 @@ def _solve_components(g: Graph, tau: int, bound: int, error: type, solve):
     lex-first sets is the lex-first set of g.  Raises ``error`` before any
     solve when an oversized component is larger than bound.
     """
-    oversized = [m for m in g.component_masks() if m.bit_count() > tau]
-    largest = max(map(int.bit_count, oversized), default=0)
-    if largest > bound:
-        raise error(f"component of order {largest} exceeds the "
-                    f"{error.solver} solver bound {bound}")
     chosen = []
-    for comp in oversized:
+    for comp in _oversized(g, tau, bound, error):
         chosen.extend(solve(comp))
     chosen.sort()
     return chosen
 
 
-def _kept_mask(g: Graph, comp: int, tau: int) -> int:
+def _kept_mask(g: Graph, comp: int, tau: int, floor: int | None = None) -> int:
     """The vertices of the component mask ``comp`` (order k > tau >= 1)
     that the lexicographically first minimum removal keeps.
 
@@ -121,26 +129,39 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
     live vertices, and tests again only when a removal takes one of them.
     The keep branch walks the new vertex's kept part itself, because it
     also needs the part's neighbourhood, which no failure test returns.
+
+    With ``floor``, for a caller that knows the component keeps floor or
+    floor + 1 vertices, the search starts from an incumbent of floor kept
+    vertices with no set in hand, and stops at the first set of floor + 1
+    it meets (returned), or returns 0 when there is none.
     """
     rows = g.rows
+    k = comp.bit_count()
+    if floor is None:
+        # Removing any k - tau vertices leaves only tau; the lowest sort
+        # first.  An oversized component keeps at most k - 1.
+        best, best_kept, goal = tau, comp, k
+        for _ in range(k - tau):
+            best_kept &= best_kept - 1
+    else:
+        best, best_kept, goal = floor, 0, floor + 1
 
-    # Removing any k - tau vertices leaves only tau; the lowest sort first.
-    best, best_kept = tau, comp
-    for _ in range(comp.bit_count() - tau):
-        best_kept &= best_kept - 1
+    def take(count, kept):
+        # At the goal, best rises above every bound, so the search unwinds.
+        nonlocal best, best_kept
+        best, best_kept = (count if count < goal else k), kept
 
     def search(kept, undecided, closed, size, witness):
         # live = kept | undecided holds the witness, so it is no failure
         # state.  closed holds the kept parts of order tau, whose
         # undecided neighbours are gone; kept holds the others.
-        nonlocal best, best_kept
         while size - 1 > best:
             bit = undecided & -undecided
             undecided ^= bit
             if witness & bit:
                 found = g.oversized_part(tau, kept | undecided)
                 if not found:
-                    best, best_kept = size - 1, kept | undecided | closed
+                    take(size - 1, kept | undecided | closed)
                 elif size - 2 > best:
                     search(kept, undecided, closed, size - 1, found)
             elif size - 2 > best:
@@ -170,7 +191,7 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
                 if witness & out:
                     witness = g.oversized_part(tau, kept | undecided)
                     if not witness:
-                        best, best_kept = size, kept | undecided | closed
+                        take(size, kept | undecided | closed)
                         return
                 continue
             # At most tau - order of the part's undecided neighbours can be
@@ -179,7 +200,7 @@ def _kept_mask(g: Graph, comp: int, tau: int) -> int:
                 return
             kept |= bit
 
-    search(0, comp, 0, comp.bit_count(), comp)
+    search(0, comp, 0, k, comp)
     return best_kept
 
 
@@ -335,6 +356,32 @@ def copvc_value(g: Graph, tau: int) -> int:
     from an original order other than g.n)."""
     _check_solver_input(g)
     return len(_min_vertex_set(g, tau))
+
+
+def copvc_bounded(g: Graph, tau: int, hi: int) -> int:
+    """``copvc_value(g, tau)`` for a caller that knows it is hi or hi - 1.
+
+    The value adds up over the oversized components.  Every one but the
+    largest is solved exactly; the largest, of order k, then has value h
+    or h - 1, where h is hi less the others' values, so it keeps k - h or
+    k - h + 1 vertices, and one search bounded by that (``_kept_mask`` with
+    floor k - h) decides which.  Raises VertexSolverLimitError as
+    copvc_value does.
+    """
+    _check_solver_input(g)
+    if tau <= 0:
+        return g.n
+    comps = _oversized(g, tau, MAX_VERTEX_SOLVER_VERTICES,
+                       VertexSolverLimitError)
+    if not comps:
+        return 0
+    largest = comps.pop()
+    h = hi - sum(c.bit_count() - _kept_mask(g, c, tau).bit_count()
+                 for c in comps)
+    if h == 1:
+        return hi  # an oversized component loses at least one vertex
+    floor = largest.bit_count() - h
+    return hi - 1 if _kept_mask(g, largest, tau, floor) else hi
 
 
 def copec_value(g: Graph, tau: int) -> int | None:

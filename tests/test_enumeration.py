@@ -14,7 +14,7 @@ from propconn.enumeration import (MAX_CANONICAL_VERTICES, MAX_ENUM_VERTICES,
                                   canonical_graph, canonical_key,
                                   count_classes, enumerate_gnm,
                                   family_profile, upper_triangle_key)
-from propconn.solver import copec_exact, copec_value
+from propconn.solver import copec_value, copvc_value
 
 from conftest import STANDARD_GRID, forget_family_profiles, graphs
 from oracles import (all_labeled_graphs, brute_canonical_key,
@@ -344,45 +344,108 @@ def test_cold_enumeration_search_count(monkeypatch):
     assert len(searched) == G7_CANONICAL_SEARCHES
 
 
-def _count_edge_solves(monkeypatch):
-    """The graphs family_profile hands to the edge solver from now on."""
-    solved = []
+def _count_solves(monkeypatch):
+    """The graphs family_profile hands to each solver from now on, by the
+    solver's name: copec_exact for edges, copvc_value for a vertex value
+    with no parent bound, copvc_bounded for one with a bound."""
+    solved = {"copec_exact": [], "copvc_value": [], "copvc_bounded": []}
+    for name, seen in solved.items():
+        def counted(g, *args, seen=seen, solve=getattr(enumeration, name)):
+            seen.append(g)
+            return solve(g, *args)
 
-    def counted(g, r):
-        solved.append(g)
-        return copec_exact(g, r)
-
-    monkeypatch.setattr(enumeration, "copec_exact", counted)
+        monkeypatch.setattr(enumeration, name, counted)
     return solved
 
 
-# Edge solves of a sweep of G(7, .) from m = 21 down, per tau, out of 1044
-# classes: the classes for which no parent's cut holds that parent's extra
-# pair.
-G7_TOP_DOWN_EDGE_SOLVES = {1: 1, 2: 66, 3: 255, 4: 368, 5: 540, 6: 824}
+def check_top_down_sweep(n, tau, measure):
+    """Read one measure ("vertex" or "edge") of G(n, .) at tau from
+    m = C(n, 2) down, check every value against a direct solve, and return
+    the number of classes checked."""
+    direct = copvc_value if measure == "vertex" else copec_value
+    checked = 0
+    for m in reversed(range(comb(n, 2) + 1)):
+        profile = family_profile(n, m, Fraction(tau, n))
+        assert profile.tau == tau
+        level = list(enumerate_gnm(n, m))
+        assert getattr(profile, measure + "_values") == tuple(
+            direct(g, tau) for g in level), (n, m, tau, measure)
+        checked += len(level)
+    return checked
+
+
+# Solves of a sweep of G(7, .) from m = 21 down, per tau, out of 1044
+# classes.  Edge: the classes for which no parent's cut holds that
+# parent's extra pair and the parents' values leave two values open.
+# Vertex: K_7, which has no parent, and the classes whose parents all
+# share one value, each a search bounded by it.
+G7_TOP_DOWN_EDGE_SOLVES = {1: 1, 2: 63, 3: 175, 4: 223, 5: 354, 6: 726}
+G7_TOP_DOWN_VERTEX_SOLVES = {1: 913, 2: 889, 3: 824, 4: 880, 5: 877, 6: 868}
+
+
+def _sweep_solves(monkeypatch, measure):
+    """{tau: solves} of the checked top-down sweeps of G(7, .), after
+    checking every smaller order at every tau too.  CI checks both
+    measures over G(8, .) at tau = 2, 4 and 6."""
+    forget_family_profiles(monkeypatch)
+    solved = _count_solves(monkeypatch)
+    made = {}
+    for n in range(1, 8):
+        for tau in range(1, n):
+            for seen in solved.values():
+                seen.clear()
+            assert check_top_down_sweep(n, tau, measure) == TOTAL_CLASSES[n]
+            made[tau] = {name: len(seen) for name, seen in solved.items()}
+    return made
 
 
 def test_inherited_edge_values_match_direct_solves(monkeypatch):
+    made = _sweep_solves(monkeypatch, "edge")
+    assert {tau: solves["copec_exact"] for tau, solves in made.items()} \
+        == G7_TOP_DOWN_EDGE_SOLVES
+    assert all(solves["copvc_value"] == solves["copvc_bounded"] == 0
+               for solves in made.values())
+
+
+def test_bounded_vertex_values_match_direct_solves(monkeypatch):
+    made = _sweep_solves(monkeypatch, "vertex")
+    assert {tau: solves["copvc_value"] + solves["copvc_bounded"]
+            for tau, solves in made.items()} == G7_TOP_DOWN_VERTEX_SOLVES
+    # only K_7 has no parent to bound it
+    assert all(solves["copvc_value"] == 1 and solves["copec_exact"] == 0
+               for solves in made.values())
+
+
+def test_bounded_vertex_sweep_work_is_pinned(monkeypatch):
+    # The failure tests of a vertex sweep of G(7, .) from m = 21 down, per
+    # tau: a bounded search stops at the first set that reaches the lower
+    # end of its class's interval.  A full search of every class makes
+    # 5,704 / 12,850 / 14,430 / 11,363 / 4,979 / 0
+    # (test_vertex_search_work_is_pinned).
     forget_family_profiles(monkeypatch)
-    solved = _count_edge_solves(monkeypatch)
-    for n in range(1, 8):
-        for tau in range(1, n):
-            solved.clear()
-            for m in reversed(range(comb(n, 2) + 1)):
-                profile = family_profile(n, m, Fraction(tau, n))
-                assert profile.tau == tau
-                assert profile.edge_values == tuple(
-                    copec_value(g, tau) for g in enumerate_gnm(n, m)), \
-                    (n, m, tau)
-            if n == 7:
-                assert len(solved) == G7_TOP_DOWN_EDGE_SOLVES[tau], tau
+    calls = 0
+    oversized_part = Graph.oversized_part
+
+    def counted(self, tau, within=None):
+        nonlocal calls
+        calls += 1
+        return oversized_part(self, tau, within)
+
+    monkeypatch.setattr(Graph, "oversized_part", counted)
+    made = {}
+    for tau in range(1, 7):
+        calls = 0
+        for m in reversed(range(comb(7, 2) + 1)):
+            family_profile(7, m, Fraction(tau, 7)).vertex_values
+        made[tau] = calls
+    assert made == {1: 2582, 2: 5240, 3: 5488, 4: 4861, 5: 2712, 6: 0}
 
 
 def test_edge_level_inherits_from_any_stored_level_above(monkeypatch):
     # Level 15, read between levels 20 and 19, does not stop level 19 from
     # inheriting level 20's cuts.
     forget_family_profiles(monkeypatch)
-    solved = _count_edge_solves(monkeypatch)
+    solved = _count_solves(monkeypatch)["copec_exact"]
     counts = {}
     for m in (20, 15, 19):
         solved.clear()
@@ -421,18 +484,22 @@ def test_request_orders_give_identical_profiles(monkeypatch):
 
 def test_family_profile_solves_only_the_measure_read(monkeypatch):
     forget_family_profiles(monkeypatch)
-    solved = _count_edge_solves(monkeypatch)
-
-    def no_vertex_solve(g, tau):
-        raise AssertionError("vertex solve while reading edge values")
-
-    monkeypatch.setattr(enumeration, "copvc_value", no_vertex_solve)
-    profile = family_profile(6, 7, Fraction(1, 2))
-    assert solved == []
-    assert len(profile.edge_values) == count_classes(6, 7)
-    assert len(solved) == count_classes(6, 7)
-    with pytest.raises(AssertionError, match="vertex solve"):
-        profile.vertex_values
+    solved = _count_solves(monkeypatch)
+    top, below = (family_profile(6, m, Fraction(1, 2)) for m in (8, 7))
+    assert not any(solved.values())
+    # level 8 has no stored parent level; level 7 is bounded by level 8
+    assert len(top.edge_values) == count_classes(6, 8)
+    assert len(below.edge_values) == count_classes(6, 7)
+    edge_solves = len(solved["copec_exact"])
+    assert count_classes(6, 8) < edge_solves < count_classes(6, 8) + \
+        count_classes(6, 7)
+    assert solved["copvc_value"] == solved["copvc_bounded"] == []
+    # both vertex routes are watched: a direct solve and a bounded one
+    assert len(top.vertex_values) == count_classes(6, 8)
+    assert len(solved["copvc_value"]) == count_classes(6, 8)
+    assert len(below.vertex_values) == count_classes(6, 7)
+    assert solved["copvc_bounded"]
+    assert len(solved["copec_exact"]) == edge_solves
     # out-of-range requests still fail at the call
     for n, m in ((9, 0), (4, 7)):
         with pytest.raises(ValueError):

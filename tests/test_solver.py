@@ -12,8 +12,8 @@ from propconn.graph import (Graph, complete, complete_bipartite, cycle,
 from propconn.solver import (MAX_EDGE_SOLVER_VERTICES,
                              MAX_VERTEX_SOLVER_VERTICES, DisconnectingWitness,
                              EdgeSolverLimitError, VertexSolverLimitError,
-                             copec_exact, copec_value, copvc_exact,
-                             copvc_value, verify_witness,
+                             copec_exact, copec_value, copvc_bounded,
+                             copvc_exact, copvc_value, verify_witness,
                              _best_partition_score, _min_vertex_set)
 from propconn.enumeration import enumerate_gnm
 
@@ -356,6 +356,8 @@ def test_vertex_solver_rejects_component_over_limit():
         copvc_exact(g, HALF)
     with pytest.raises(VertexSolverLimitError):
         copvc_value(g, 1)
+    with pytest.raises(VertexSolverLimitError):
+        copvc_bounded(g, 1, MAX_VERTEX_SOLVER_VERTICES // 2)
 
 
 def test_vertex_solver_limit_is_pinned():
