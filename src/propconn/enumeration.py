@@ -39,9 +39,9 @@ vertex value, or the edge minimum cut).  A level is bounded by its
 parents one level up, read by key: each parent's value is the class's
 value or one more (see ``family_profile``).  So a sweep that asks for the
 levels from C(n,2) down takes many values and cuts from the parents with
-no solve, and bounds the vertex search of most of the rest.  A value is
-exact by every route, so the request order changes only how much is
-solved.
+no solve, and passes the parents' value to the vertex search of most of
+the rest as its bound (``copvc_value`` with hi).  A value is exact by
+every route, so the request order changes only how much is solved.
 """
 
 from fractions import Fraction
@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from .graph import (Graph, complete, graph_from_key, key_pairs, threshold,
                     upper_triangle_key)
-from .solver import copvc_bounded, copvc_value, copec_exact
+from .solver import copvc_value, copec_exact
 
 MAX_ENUM_VERTICES = 8
 
@@ -310,10 +310,8 @@ def _solved(measure: str, p: FamilyProfile) -> tuple[int, ...]:
             if edge:
                 solved[key] = sum(bit_of[pair]
                                   for pair in copec_exact(g, p.r).elements)
-            elif hi is None:
-                solved[key] = copvc_value(g, p.tau)
             else:
-                solved[key] = copvc_bounded(g, p.tau, hi)
+                solved[key] = copvc_value(g, p.tau, hi)
     values = tuple(map(int.bit_count, solved.values()) if edge
                    else solved.values())
     _SOLVED[index] = solved, values
@@ -347,7 +345,7 @@ def family_profile(n: int, m: int, r: Fraction) -> FamilyProfile:
       P - C, is failed: C is a minimum cut of G.
     - Otherwise an edge value is solved, and its lex-first cut kept.  A
       vertex value is hi or hi - 1, and one search bounded by hi
-      (``copvc_bounded``) decides which.
+      (``copvc_value`` given hi) decides which.
 
     Every solved level stays stored per (measure, n, m, tau), and a level
     is bounded whenever level m + 1 at the same tau is stored, so a sweep

@@ -4,10 +4,11 @@ These solvers are the ground truth against which every closed-form value in
 the package is checked, so they favor exhaustive-but-pruned strategies over
 heuristics.
 
-Both optima add up over components, so one driver (``_solve_components``)
-solves each component of order k > tau on its own and merges the
-per-component lexicographically first sets.  It rejects a component larger
-than MAX_VERTEX_SOLVER_VERTICES or MAX_EDGE_SOLVER_VERTICES up front.
+Both optima add up over components, so each entry point takes the
+components of order k > tau from ``_oversized``, which rejects one larger
+than MAX_VERTEX_SOLVER_VERTICES or MAX_EDGE_SOLVER_VERTICES up front,
+solves each on its own and merges the per-component lexicographically
+first sets (see ``_removed``).
 
 Vertex side: one branch and bound decides keep or remove for the
 component's vertices in label order, remove first (``_kept_mask``).  It
@@ -20,8 +21,9 @@ that cannot keep more than the incumbent is cut, also when counting what
 the kept part a vertex joins must shed among its undecided neighbours.
 The search has no failure test of its own: ``Graph.oversized_part`` is
 the one test, and its witness tells which removals call for a new test.
-A caller that knows the value within one (``copvc_bounded``) runs the
-same search from that bound and stops at the first set that beats it.
+A caller that knows the value within one passes it to ``copvc_value``
+as hi, which runs the same search from that bound and stops at the first
+set that beats it.
 
 Edge side: a minimum edge disconnecting set is exactly the set of edges
 crossing an optimal partition of the vertices into parts of order at most
@@ -30,7 +32,8 @@ minimality).  One dynamic program (``_best_partition_score``) grows each
 connected part of order at most tau once, one frame per part, scores it
 from the new vertex's edges into the part, and maximizes lex scores: its
 optimum keeps the most edges inside parts and, among those partitions,
-cuts the lex-first minimum set, decoded from the optimal score alone.
+cuts the lex-first minimum set, which ``_min_edge_set`` decodes from the
+optimal score alone.
 """
 
 from fractions import Fraction
@@ -95,24 +98,6 @@ def _oversized(g: Graph, tau: int, bound: int, error: type) -> list[int]:
         raise error(f"component of order {oversized[-1].bit_count()} exceeds "
                     f"the {error.solver} solver bound {bound}")
     return oversized
-
-
-def _solve_components(g: Graph, tau: int, bound: int, error: type, solve):
-    """The sorted union of solve(comp) over the vertex masks comp of the
-    components of g of order > tau, where solve returns the
-    lexicographically first minimum set of its component.
-
-    Every minimum set of g is a union of per-component minimum sets.  For
-    equal-size sets, A sorts before B exactly when min(A ^ B) lies in A,
-    and A ^ B splits by component, so the union of the per-component
-    lex-first sets is the lex-first set of g.  Raises ``error`` before any
-    solve when an oversized component is larger than bound.
-    """
-    chosen = []
-    for comp in _oversized(g, tau, bound, error):
-        chosen.extend(solve(comp))
-    chosen.sort()
-    return chosen
 
 
 def _kept_mask(g: Graph, comp: int, tau: int, floor: int | None = None) -> int:
@@ -204,25 +189,33 @@ def _kept_mask(g: Graph, comp: int, tau: int, floor: int | None = None) -> int:
     return best_kept
 
 
+def _removed(g: Graph, tau: int, comps: list[int]) -> int:
+    """The vertices that the lexicographically first minimum removal takes
+    from the component masks comps (each of order > tau >= 1), as a mask.
+
+    Every minimum set of g is a union of per-component minimum sets.  For
+    equal-size sets, A sorts before B exactly when min(A ^ B) lies in A,
+    and A ^ B splits by component, so the union of the per-component
+    lex-first sets is the lex-first set of g.
+    """
+    out = 0
+    for comp in comps:
+        out |= comp ^ _kept_mask(g, comp, tau)
+    return out
+
+
 def _min_vertex_set(g: Graph, tau: int) -> list[int]:
     """The lexicographically first minimum vertex set whose removal leaves
-    no component of order > tau, as sorted labels.
-
-    Each oversized component is solved on its own by ``_kept_mask`` (see
-    ``_solve_components``).  Raises VertexSolverLimitError before any
-    search when an oversized component is larger than
-    MAX_VERTEX_SOLVER_VERTICES.
+    no component of order > tau, as sorted labels (see ``_removed``).
+    Raises VertexSolverLimitError before any search when an oversized
+    component is larger than MAX_VERTEX_SOLVER_VERTICES.
     """
     if tau <= 0:
         # Any surviving vertex is a component of order 1 > 0.
         return list(range(g.n))
-
-    def removed(comp):
-        out = comp ^ _kept_mask(g, comp, tau)
-        return [v for v in range(g.n) if out >> v & 1]
-
-    return _solve_components(g, tau, MAX_VERTEX_SOLVER_VERTICES,
-                             VertexSolverLimitError, removed)
+    out = _removed(g, tau, _oversized(g, tau, MAX_VERTEX_SOLVER_VERTICES,
+                                      VertexSolverLimitError))
+    return [v for v in range(g.n) if out >> v & 1]
 
 
 def copvc_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
@@ -302,36 +295,30 @@ def _best_partition_score(h: Graph, tau: int) -> int:
     return best[full]
 
 
-def _lex_first_cut(h: Graph, tau: int) -> list[tuple[int, int]]:
-    """The lexicographically first minimum cut of h, in h's labels, decoded
-    from the optimal lex score of one partition DP.
-
-    A kept edge set K scores |K| * 2^E - mask(K), where mask(K) < 2^E sets
-    bit E-1-i for each kept edge i, so mask(K) is -score mod 2^E.
-    """
-    edges = h.edges()
-    top = 1 << len(edges)
-    mask = -_best_partition_score(h, tau) % top
-    return [e for i, e in enumerate(edges) if not mask & (top >> (i + 1))]
-
-
 def _min_edge_set(g: Graph, tau: int) -> list[tuple[int, int]]:
     """The lexicographically first minimum edge set whose removal leaves
     no component of order > tau (tau >= 1), as sorted (u, v) pairs.
 
-    Each oversized component is cut on its own by ``_lex_first_cut`` on a
-    copy labelled 0..k-1, and the cut is mapped back to the original labels
-    (see ``_solve_components``).  Raises EdgeSolverLimitError before any
-    table is built when an oversized component is larger than
-    MAX_EDGE_SOLVER_VERTICES.
+    Each oversized component is cut on its own, on a copy h labelled
+    0..k-1, and the union of the cuts is lex-first as in ``_removed``.
+    The cut is decoded from h's optimal lex score: a kept edge set K
+    scores |K| * 2^E - mask(K), where mask(K) < 2^E sets bit E-1-i for
+    each kept edge i, so mask(K) is -score mod 2^E.  Raises
+    EdgeSolverLimitError before any table is built when an oversized
+    component is larger than MAX_EDGE_SOLVER_VERTICES.
     """
-    def cut(comp):
+    chosen = []
+    for comp in _oversized(g, tau, MAX_EDGE_SOLVER_VERTICES,
+                           EdgeSolverLimitError):
         labels = [v for v in range(g.n) if comp >> v & 1]
         h = g._relabel(labels)
-        return [(labels[u], labels[v]) for u, v in _lex_first_cut(h, tau)]
-
-    return _solve_components(g, tau, MAX_EDGE_SOLVER_VERTICES,
-                             EdgeSolverLimitError, cut)
+        edges = h.edges()
+        top = 1 << len(edges)
+        mask = -_best_partition_score(h, tau) % top
+        chosen.extend((labels[u], labels[v]) for i, (u, v) in enumerate(edges)
+                      if not mask & (top >> (i + 1)))
+    chosen.sort()
+    return chosen
 
 
 def copec_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
@@ -351,33 +338,27 @@ def copec_exact(g: Graph, r: Fraction) -> DisconnectingWitness:
     return DisconnectingWitness("edge", tuple(chosen), len(chosen))
 
 
-def copvc_value(g: Graph, tau: int) -> int:
+def copvc_value(g: Graph, tau: int, hi: int | None = None) -> int:
     """Cardinality-only vertex solve against an explicit tau (which may come
-    from an original order other than g.n)."""
-    _check_solver_input(g)
-    return len(_min_vertex_set(g, tau))
+    from an original order other than g.n).
 
-
-def copvc_bounded(g: Graph, tau: int, hi: int) -> int:
-    """``copvc_value(g, tau)`` for a caller that knows it is hi or hi - 1.
-
-    The value adds up over the oversized components.  Every one but the
-    largest is solved exactly; the largest, of order k, then has value h
-    or h - 1, where h is hi less the others' values, so it keeps k - h or
-    k - h + 1 vertices, and one search bounded by that (``_kept_mask`` with
-    floor k - h) decides which.  Raises VertexSolverLimitError as
-    copvc_value does.
+    A caller that knows the value is hi or hi - 1 passes hi.  The value
+    adds up over the oversized components.  Every one but the largest is
+    solved exactly; the largest, of order k, then has value h or h - 1,
+    where h is hi less the others' values, so it keeps k - h or k - h + 1
+    vertices, and one search bounded by that (``_kept_mask`` with floor
+    k - h) decides which.  Raises VertexSolverLimitError as copvc_exact
+    does.
     """
     _check_solver_input(g)
     if tau <= 0:
         return g.n
     comps = _oversized(g, tau, MAX_VERTEX_SOLVER_VERTICES,
                        VertexSolverLimitError)
-    if not comps:
-        return 0
+    if hi is None or not comps:
+        return _removed(g, tau, comps).bit_count()
     largest = comps.pop()
-    h = hi - sum(c.bit_count() - _kept_mask(g, c, tau).bit_count()
-                 for c in comps)
+    h = hi - _removed(g, tau, comps).bit_count()
     if h == 1:
         return hi  # an oversized component loses at least one vertex
     floor = largest.bit_count() - h

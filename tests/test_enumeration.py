@@ -345,16 +345,22 @@ def test_cold_enumeration_search_count(monkeypatch):
 
 
 def _count_solves(monkeypatch):
-    """The graphs family_profile hands to each solver from now on, by the
-    solver's name: copec_exact for edges, copvc_value for a vertex value
-    with no parent bound, copvc_bounded for one with a bound."""
-    solved = {"copec_exact": [], "copvc_value": [], "copvc_bounded": []}
-    for name, seen in solved.items():
-        def counted(g, *args, seen=seen, solve=getattr(enumeration, name)):
-            seen.append(g)
-            return solve(g, *args)
+    """The graphs family_profile hands to each solver from now on, by
+    route: copec_exact for edges, copvc_value for a vertex value with no
+    parent bound, copvc_value_hi for a copvc_value call given a bound hi."""
+    solved = {"copec_exact": [], "copvc_value": [], "copvc_value_hi": []}
+    copec_exact, copvc_value = enumeration.copec_exact, enumeration.copvc_value
 
-        monkeypatch.setattr(enumeration, name, counted)
+    def edge(g, r):
+        solved["copec_exact"].append(g)
+        return copec_exact(g, r)
+
+    def vertex(g, tau, hi=None):
+        solved["copvc_value" if hi is None else "copvc_value_hi"].append(g)
+        return copvc_value(g, tau, hi)
+
+    monkeypatch.setattr(enumeration, "copec_exact", edge)
+    monkeypatch.setattr(enumeration, "copvc_value", vertex)
     return solved
 
 
@@ -403,13 +409,13 @@ def test_inherited_edge_values_match_direct_solves(monkeypatch):
     made = _sweep_solves(monkeypatch, "edge")
     assert {tau: solves["copec_exact"] for tau, solves in made.items()} \
         == G7_TOP_DOWN_EDGE_SOLVES
-    assert all(solves["copvc_value"] == solves["copvc_bounded"] == 0
+    assert all(solves["copvc_value"] == solves["copvc_value_hi"] == 0
                for solves in made.values())
 
 
 def test_bounded_vertex_values_match_direct_solves(monkeypatch):
     made = _sweep_solves(monkeypatch, "vertex")
-    assert {tau: solves["copvc_value"] + solves["copvc_bounded"]
+    assert {tau: solves["copvc_value"] + solves["copvc_value_hi"]
             for tau, solves in made.items()} == G7_TOP_DOWN_VERTEX_SOLVES
     # only K_7 has no parent to bound it
     assert all(solves["copvc_value"] == 1 and solves["copec_exact"] == 0
@@ -493,12 +499,12 @@ def test_family_profile_solves_only_the_measure_read(monkeypatch):
     edge_solves = len(solved["copec_exact"])
     assert count_classes(6, 8) < edge_solves < count_classes(6, 8) + \
         count_classes(6, 7)
-    assert solved["copvc_value"] == solved["copvc_bounded"] == []
+    assert solved["copvc_value"] == solved["copvc_value_hi"] == []
     # both vertex routes are watched: a direct solve and a bounded one
     assert len(top.vertex_values) == count_classes(6, 8)
     assert len(solved["copvc_value"]) == count_classes(6, 8)
     assert len(below.vertex_values) == count_classes(6, 7)
-    assert solved["copvc_bounded"]
+    assert solved["copvc_value_hi"]
     assert len(solved["copec_exact"]) == edge_solves
     # out-of-range requests still fail at the call
     for n, m in ((9, 0), (4, 7)):

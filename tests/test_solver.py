@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -12,8 +14,8 @@ from propconn.graph import (Graph, complete, complete_bipartite, cycle,
 from propconn.solver import (MAX_EDGE_SOLVER_VERTICES,
                              MAX_VERTEX_SOLVER_VERTICES, DisconnectingWitness,
                              EdgeSolverLimitError, VertexSolverLimitError,
-                             copec_exact, copec_value, copvc_bounded,
-                             copvc_exact, copvc_value, verify_witness,
+                             copec_exact, copec_value, copvc_exact,
+                             copvc_value, verify_witness,
                              _best_partition_score, _min_vertex_set)
 from propconn.enumeration import enumerate_gnm
 
@@ -357,7 +359,25 @@ def test_vertex_solver_rejects_component_over_limit():
     with pytest.raises(VertexSolverLimitError):
         copvc_value(g, 1)
     with pytest.raises(VertexSolverLimitError):
-        copvc_bounded(g, 1, MAX_VERTEX_SOLVER_VERTICES // 2)
+        copvc_value(g, 1, MAX_VERTEX_SOLVER_VERTICES // 2)
+
+
+def test_bounded_vertex_value_matches_direct_value():
+    # copvc_value given hi, for a caller that knows the value is hi or
+    # hi - 1, against the value with no bound: every class of G(6, .) at
+    # every tau, then graphs whose largest oversized component is not the
+    # lowest-labelled one.  With hi = v, P_3 + P_5 at tau 2 leaves its
+    # largest component one vertex to lose, the early return.
+    cases = [g for m in range(comb(6, 2) + 1) for g in enumerate_gnm(6, m)]
+    cases += [disjoint_union(path(3), path(5)),
+              disjoint_union(complete(3), complete(5)),
+              disjoint_union(cycle(4), complete_bipartite(2, 3), path(6)),
+              disjoint_union(path(4), edgeless(1), cycle(7))]
+    for g in cases:
+        for tau in range(g.n):
+            v = copvc_value(g, tau)
+            for hi in (v, v + 1):
+                assert copvc_value(g, tau, hi) == v, (g, tau, hi)
 
 
 def test_vertex_solver_limit_is_pinned():
@@ -420,6 +440,51 @@ def test_partition_score_matches_all_submask_reference():
                  path(12), cycle(12)])
     for g in shapes:
         assert_partition_reference(g, range(1, g.n))
+
+
+def test_partition_dp_work_is_pinned():
+    # The connected parts the edge DP grows and the scores it pushes onto
+    # its table, over K_8, P_12, C_10, K_{4,4} and one seeded G(10, 1/2)
+    # at every tau, counted by tracing _best_partition_score's lines.  A
+    # part grown twice, or a level-0 part pushed onto more than the full
+    # set, moves these counts though the table stays the same.
+    lines, first = inspect.getsourcelines(_best_partition_score)
+
+    def at(*texts):
+        return {first + i for i, line in enumerate(lines)
+                if line.strip() in texts}
+
+    part = at("p, s = part | bit, score")
+    push = at("if s > best[p]:", "c = s + best[t]", "c = s + best[rest]")
+    assert len(part) == 1 and len(push) == 3
+    made = {"parts": 0, "pushes": 0}
+
+    def local(frame, event, arg):
+        if event == "line":
+            if frame.f_lineno in part:
+                made["parts"] += 1
+            elif frame.f_lineno in push:
+                made["pushes"] += 1
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code is _best_partition_score.__code__:
+            return local
+        return None
+
+    rng = random.Random(10)
+    shapes = [complete(8), path(12), cycle(10), complete_bipartite(4, 4),
+              Graph(10, [(u, v) for u in range(10) for v in range(u + 1, 10)
+                         if rng.random() < 0.5])]
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        for g in shapes:
+            for tau in range(1, g.n):
+                _best_partition_score(g, tau)
+    finally:
+        sys.settrace(previous)
+    assert made == {"parts": 6302, "pushes": 70214}
 
 
 def test_edge_dp_at_the_solver_bound_on_a_path():
