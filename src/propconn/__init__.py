@@ -26,7 +26,7 @@ from .families import (ExtremalResult, max_failure_edges,
                        coemax_tail, complete_minus_two_disjoint_edges,
                        extremal_by_enumeration, covmin_witness, coemin_witness)
 from .enumeration import (MAX_ENUM_VERTICES, MAX_CANONICAL_VERTICES,
-                          FamilyProfile, canonical_graph, canonical_key,
+                          canonical_graph, canonical_key,
                           enumerate_gnm, count_classes, family_profile,
                           upper_triangle_key)
 from .bounds import (BipartiteWitness, ConjectureVerdict, MAX_CUT_VERTICES,
@@ -55,8 +55,8 @@ __all__ = [
     "covmin_threshold_f", "covmin", "covmin_piecewise_crosscheck", "coemin",
     "covmax_tail", "coemax_tail", "complete_minus_two_disjoint_edges",
     "extremal_by_enumeration", "covmin_witness", "coemin_witness",
-    "MAX_ENUM_VERTICES", "MAX_CANONICAL_VERTICES", "FamilyProfile",
-    "canonical_graph", "canonical_key",
+    "MAX_ENUM_VERTICES", "MAX_CANONICAL_VERTICES", "canonical_graph",
+    "canonical_key",
     "enumerate_gnm", "count_classes", "family_profile", "upper_triangle_key",
     "BipartiteWitness", "ConjectureVerdict", "MAX_CUT_VERTICES",
     "max_bipartite_subgraph", "edwards_bound", "egk_bounds",

@@ -174,7 +174,7 @@ def check_equal_partition_conjecture(n: int, m: int, k: int) -> ConjectureVerdic
     r = proportion(1, k)
     if n % k != 0:
         raise ValueError(f"k={k} must divide n={n}")
-    values = family_profile(n, m, r).edge_values
+    values = family_profile(n, m, r, "edge")
     coemax = max(values)
     partitions = list(_balanced_partitions(n, k))
     best_cross = best_graph = fallback = None

@@ -32,21 +32,21 @@ of the levels above it, one canonical search per class.  Levels are
 cached per n for the lifetime of the process, each as a dict from
 canonical key to graph in key order, so no key is computed twice.
 
-``family_profile`` gives the exact vertex and edge values of every class
-of a level, solving each measure only when it is read, into one store
-from (measure, n, m, tau) to a dict from canonical key to solution (the
-vertex value, or the edge minimum cut).  A level is bounded by its
-parents one level up, read by key: each parent's value is the class's
-value or one more (see ``family_profile``).  So a sweep that asks for the
-levels from C(n,2) down takes many values and cuts from the parents with
-no solve, and passes the parents' value to the vertex search of most of
-the rest as its bound (``copvc_value`` with hi).  A value is exact by
-every route, so the request order changes only how much is solved.
+``family_profile(n, m, r, measure)`` gives the exact values of one
+measure, vertex or edge, of every class of a level, solving the level the
+first time it is asked for, into one store from (measure, n, m, tau) to a
+dict from canonical key to solution (the vertex value, or the edge
+minimum cut).  A level is bounded by its parents one level up, read by
+key: each parent's value is the class's value or one more (see
+``family_profile``).  So a sweep that asks for the levels from C(n,2)
+down takes many values and cuts from the parents with no solve, and
+passes the parents' value to the vertex search of most of the rest as its
+bound (``copvc_value`` with hi).  A value is exact by every route, so the
+request order changes only how much is solved.
 """
 
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple
 
 from .graph import (Graph, complete, graph_from_key, key_pairs, threshold,
                     upper_triangle_key)
@@ -247,81 +247,13 @@ _SOLVED: dict[tuple[str, int, int, int],
               tuple[dict[int, int], tuple[int, ...]]] = {}
 
 
-class FamilyProfile(NamedTuple):
-    """Exact connectivity values of every class representative in G(n, m)
-    at tau = floor(r * n), each measure solved when a caller first reads it.
-    The values align with the enumerate_gnm order; edge_values is None when
-    tau = 0 (edge disconnection infeasible)."""
-
-    n: int
-    m: int
-    r: Fraction
-    tau: int
-
-    @property
-    def vertex_values(self) -> tuple[int, ...]:
-        return _solved("vertex", self)
-
-    @property
-    def edge_values(self) -> tuple[int, ...] | None:
-        if self.tau == 0:
-            return None
-        return _solved("edge", self)
-
-
-def _solved(measure: str, p: FamilyProfile) -> tuple[int, ...]:
-    """The values of p's level for the measure, from the store, which
-    solves the level the first time it is read, bounded by level m + 1 when
-    it is stored (see ``family_profile``)."""
-    index = (measure, p.n, p.m, p.tau)
-    if index in _SOLVED:
-        return _SOLVED[index][1]
-    # A level-m key has m bits set, so key | bit can only hit level m + 1.
-    parent = _SOLVED.get((measure, p.n, p.m + 1, p.tau))
-    get = (parent[0] if parent else {}).get
-    bit_of = {pair: 1 << b for b, pair in enumerate(key_pairs(p.n))}
-    full = (1 << comb(p.n, 2)) - 1
-    edge = measure == "edge"
-    solved = {}
-    for key, g in _level(p.n, p.m).items():
-        # The parents key | bit, lowest bit first, until one decides the
-        # class's solution; hi is their value while they all agree.
-        hi = None
-        free = ~key & full
-        while free:
-            bit = free & -free
-            solution = get(key | bit)
-            if solution is not None:
-                if edge and solution & bit:
-                    solved[key] = solution ^ bit
-                    break
-                value = solution.bit_count() if edge else solution
-                if hi is None:
-                    hi, first = value, solution
-                    if hi == 0:
-                        solved[key] = solution
-                        break
-                elif value != hi:
-                    # parent values differ by at most 1: the lower is G's
-                    solved[key] = first if hi < value else solution
-                    break
-            free ^= bit
-        else:
-            if edge:
-                solved[key] = sum(bit_of[pair]
-                                  for pair in copec_exact(g, p.r).elements)
-            else:
-                solved[key] = copvc_value(g, p.tau, hi)
-    values = tuple(map(int.bit_count, solved.values()) if edge
-                   else solved.values())
-    _SOLVED[index] = solved, values
-    return values
-
-
-def family_profile(n: int, m: int, r: Fraction) -> FamilyProfile:
-    """The connectivity values of the classes of G(n, m) at proportion r.
-    Raises ValueError at the call when n or m is out of range; solves
-    nothing until a measure is read.
+def family_profile(n: int, m: int, r: Fraction,
+                   measure: str) -> tuple[int, ...] | None:
+    """The exact values of the measure, "vertex" or "edge", of the classes
+    of G(n, m) at tau = floor(r * n), in ``enumerate_gnm`` order; None for
+    the edge measure at tau = 0, where no edge removal leaves a failure
+    state.  Raises ValueError when n or m is out of range or the measure is
+    unknown.
 
     Each level is bounded by the level above, along the orderly-generation
     tree.  Let G be a class with key c, and b a 0 bit of c such that
@@ -354,6 +286,52 @@ def family_profile(n: int, m: int, r: Fraction) -> FamilyProfile:
     every request order gives the same values; the order only decides how
     much is solved.
     """
+    if measure not in ("vertex", "edge"):
+        raise ValueError(f"measure must be 'vertex' or 'edge', got {measure!r}")
     tau = threshold(r, n)
-    enumerate_gnm(n, m)
-    return FamilyProfile(n, m, r, tau)
+    level = _level(n, m)
+    edge = measure == "edge"
+    if edge and tau == 0:
+        return None
+    index = (measure, n, m, tau)
+    if index in _SOLVED:
+        return _SOLVED[index][1]
+    # A level-m key has m bits set, so key | bit can only hit level m + 1.
+    parent = _SOLVED.get((measure, n, m + 1, tau))
+    get = (parent[0] if parent else {}).get
+    bit_of = {pair: 1 << b for b, pair in enumerate(key_pairs(n))}
+    full = (1 << comb(n, 2)) - 1
+    solved = {}
+    for key, g in level.items():
+        # The parents key | bit, lowest bit first, until one decides the
+        # class's solution; hi is their value while they all agree.
+        hi = None
+        free = ~key & full
+        while free:
+            bit = free & -free
+            solution = get(key | bit)
+            if solution is not None:
+                if edge and solution & bit:
+                    solved[key] = solution ^ bit
+                    break
+                value = solution.bit_count() if edge else solution
+                if hi is None:
+                    hi, first = value, solution
+                    if hi == 0:
+                        solved[key] = solution
+                        break
+                elif value != hi:
+                    # parent values differ by at most 1: the lower is G's
+                    solved[key] = first if hi < value else solution
+                    break
+            free ^= bit
+        else:
+            if edge:
+                solved[key] = sum(bit_of[pair]
+                                  for pair in copec_exact(g, r).elements)
+            else:
+                solved[key] = copvc_value(g, tau, hi)
+    values = tuple(map(int.bit_count, solved.values()) if edge
+                   else solved.values())
+    _SOLVED[index] = solved, values
+    return values

@@ -22,10 +22,6 @@ _STATS = ("covmin", "coemin", "covmax", "coemax")
 
 
 class ExtremalResult(NamedTuple):
-    stat: str
-    n: int
-    m: int
-    r: Fraction
     value: int
     witness: Graph
 
@@ -207,10 +203,10 @@ def extremal_by_enumeration(n: int, m: int, r: Fraction,
     the extremal representative with the smallest canonical key."""
     if stat not in _STATS:
         raise ValueError(f"stat must be one of {_STATS}, got {stat!r}")
-    profile = family_profile(n, m, r)
-    if stat in ("coemin", "coemax"):
+    edge = stat in ("coemin", "coemax")
+    values = family_profile(n, m, r, "edge" if edge else "vertex")
+    if edge:
         _edge_tau(n, r)
-    values = profile.vertex_values if stat.startswith("cov") else profile.edge_values
     value = min(values) if stat.endswith("min") else max(values)
     witness = next(g for g, v in zip(enumerate_gnm(n, m), values) if v == value)
-    return ExtremalResult(stat, n, m, r, value, witness)
+    return ExtremalResult(value, witness)

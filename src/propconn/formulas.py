@@ -173,14 +173,6 @@ class DiscrepancyEntry(NamedTuple):
         return tuple(c.formula_id for c in self.checks
                      if c.proven and not c.matches_oracle)
 
-    @property
-    def any_match(self) -> bool:
-        return any(c.matches_oracle for c in self.checks)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed_proven and self.any_match
-
 
 def formulas_for(spec: ClassSpec, r: Fraction, mode: str) -> list[FormulaResult]:
     """The closed forms of one class instance and mode, in ``FORMULAS``

@@ -47,9 +47,9 @@ def _stat_table(n: int, r: Fraction):
     cuts."""
     rows = []
     for m in reversed(range(comb(n, 2) + 1)):
-        profile = family_profile(n, m, r)
-        rows.append((min(profile.vertex_values), max(profile.vertex_values),
-                     min(profile.edge_values), max(profile.edge_values)))
+        vertex, edge = (family_profile(n, m, r, measure)
+                        for measure in ("vertex", "edge"))
+        rows.append((min(vertex), max(vertex), min(edge), max(edge)))
     columns = zip(*reversed(rows))
     return dict(zip(("covmin", "covmax", "coemin", "coemax"), columns))
 

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -344,6 +346,48 @@ def test_cold_enumeration_search_count(monkeypatch):
     assert len(searched) == G7_CANONICAL_SEARCHES
 
 
+def count_canonical_states(n):
+    """The states canonical_key expands over a cold enumeration of every
+    level of G(n, .): the frontier states of each search, plus its root
+    state.  A line tracer counts runs of the line that opens a state, so
+    no counter sits in the library."""
+    lines, first = inspect.getsourcelines(canonical_key)
+    opens = {first + i for i, line in enumerate(lines)
+             if line.strip() == "(c0, m0), tail = state[0], state[1:]"}
+    assert len(opens) == 1
+    states = 0
+
+    def local(frame, event, arg):
+        nonlocal states
+        if event == "line" and frame.f_lineno in opens:
+            states += 1
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code is canonical_key.__code__:
+            return local
+        return None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "_LEVELS", {})
+        previous = sys.gettrace()
+        sys.settrace(calls)
+        try:
+            for m in range(comb(n, 2) + 1):
+                count_classes(n, m)
+        finally:
+            sys.settrace(previous)
+    return states
+
+
+def test_canonical_search_work_is_pinned():
+    # Placing twins out of label order, or an isolated vertex beside its
+    # siblings, returns the same keys from more states: 5,264 and 4,197
+    # here.  CI runs the same count over G(8, .): 844,659, the 829,170
+    # frontier states plus one root state for each of the 15,489 searches.
+    assert count_canonical_states(6) == 3569
+
+
 def _count_solves(monkeypatch):
     """The graphs family_profile hands to each solver from now on, by
     route: copec_exact for edges, copvc_value for a vertex value with no
@@ -371,11 +415,10 @@ def check_top_down_sweep(n, tau, measure):
     direct = copvc_value if measure == "vertex" else copec_value
     checked = 0
     for m in reversed(range(comb(n, 2) + 1)):
-        profile = family_profile(n, m, Fraction(tau, n))
-        assert profile.tau == tau
+        values = family_profile(n, m, Fraction(tau, n), measure)
         level = list(enumerate_gnm(n, m))
-        assert getattr(profile, measure + "_values") == tuple(
-            direct(g, tau) for g in level), (n, m, tau, measure)
+        assert values == tuple(direct(g, tau) for g in level), \
+            (n, m, tau, measure)
         checked += len(level)
     return checked
 
@@ -442,7 +485,7 @@ def test_bounded_vertex_sweep_work_is_pinned(monkeypatch):
     for tau in range(1, 7):
         calls = 0
         for m in reversed(range(comb(7, 2) + 1)):
-            family_profile(7, m, Fraction(tau, 7)).vertex_values
+            family_profile(7, m, Fraction(tau, 7), "vertex")
         made[tau] = calls
     assert made == {1: 2582, 2: 5240, 3: 5488, 4: 4861, 5: 2712, 6: 0}
 
@@ -455,7 +498,7 @@ def test_edge_level_inherits_from_any_stored_level_above(monkeypatch):
     counts = {}
     for m in (20, 15, 19):
         solved.clear()
-        values = family_profile(7, m, Fraction(3, 7)).edge_values
+        values = family_profile(7, m, Fraction(3, 7), "edge")
         counts[m] = len(solved)
         assert values == tuple(copec_value(g, 3) for g in enumerate_gnm(7, m))
     assert counts == {20: 1, 15: count_classes(7, 15), 19: 1}
@@ -482,8 +525,8 @@ def test_request_orders_give_identical_profiles(monkeypatch):
                 ms = (range(comb(n, 2) + 1) if order == "ascending"
                       else _requests(n, order))
                 for m in ms:
-                    p = family_profile(n, m, r)
-                    got[n, m, r] = (p.tau, p.vertex_values, p.edge_values)
+                    got[n, m, r] = tuple(family_profile(n, m, r, measure)
+                                         for measure in ("vertex", "edge"))
     assert profiles["ascending"] == profiles["descending"]
     assert profiles["ascending"] == profiles["interleaved"]
 
@@ -491,25 +534,35 @@ def test_request_orders_give_identical_profiles(monkeypatch):
 def test_family_profile_solves_only_the_measure_read(monkeypatch):
     forget_family_profiles(monkeypatch)
     solved = _count_solves(monkeypatch)
-    top, below = (family_profile(6, m, Fraction(1, 2)) for m in (8, 7))
-    assert not any(solved.values())
+    half = Fraction(1, 2)
     # level 8 has no stored parent level; level 7 is bounded by level 8
-    assert len(top.edge_values) == count_classes(6, 8)
-    assert len(below.edge_values) == count_classes(6, 7)
+    assert len(family_profile(6, 8, half, "edge")) == count_classes(6, 8)
+    assert len(family_profile(6, 7, half, "edge")) == count_classes(6, 7)
     edge_solves = len(solved["copec_exact"])
     assert count_classes(6, 8) < edge_solves < count_classes(6, 8) + \
         count_classes(6, 7)
     assert solved["copvc_value"] == solved["copvc_value_hi"] == []
     # both vertex routes are watched: a direct solve and a bounded one
-    assert len(top.vertex_values) == count_classes(6, 8)
+    assert len(family_profile(6, 8, half, "vertex")) == count_classes(6, 8)
     assert len(solved["copvc_value"]) == count_classes(6, 8)
-    assert len(below.vertex_values) == count_classes(6, 7)
+    assert len(family_profile(6, 7, half, "vertex")) == count_classes(6, 7)
     assert solved["copvc_value_hi"]
     assert len(solved["copec_exact"]) == edge_solves
     # out-of-range requests still fail at the call
     for n, m in ((9, 0), (4, 7)):
         with pytest.raises(ValueError):
-            family_profile(n, m, Fraction(1, 2))
+            family_profile(n, m, half, "vertex")
+
+
+def test_family_profile_measures():
+    # At floor(r*n) = 0 no edge removal leaves a failure state, while every
+    # vertex must go.
+    quarter = Fraction(1, 4)
+    assert family_profile(3, 2, quarter, "edge") is None
+    assert family_profile(3, 2, quarter, "vertex") == (3,)
+    for measure in ("cut", "Vertex", None):
+        with pytest.raises(ValueError):
+            family_profile(5, 6, Fraction(1, 2), measure)
 
 
 def test_values_are_stored_once_per_level(monkeypatch):
@@ -517,10 +570,9 @@ def test_values_are_stored_once_per_level(monkeypatch):
     # when the level was solved.
     forget_family_profiles(monkeypatch)
     for m in (10, 11):
-        first = family_profile(7, m, Fraction(1, 3))
-        again = family_profile(7, m, Fraction(1, 3))
-        assert first.edge_values is again.edge_values
-        assert first.vertex_values is again.vertex_values
+        for measure in ("edge", "vertex"):
+            first = family_profile(7, m, Fraction(1, 3), measure)
+            assert family_profile(7, m, Fraction(1, 3), measure) is first
 
 
 def check_family_net(n):
@@ -546,10 +598,10 @@ def check_family_net(n):
         # canonical key -> (vertex value, edge value), levels m + 1 and up
         values = {}
         for m in reversed(range(top + 1)):
-            profile = family_profile(n, m, r)
-            assert profile.tau == tau
+            vertex_values, edge_values = (family_profile(n, m, r, measure)
+                                          for measure in ("vertex", "edge"))
             level = dict(zip(enumeration._level(n, m),
-                             zip(profile.vertex_values, profile.edge_values)))
+                             zip(vertex_values, edge_values)))
             for key, (vertex, edge) in level.items():
                 assert vertex <= edge, (n, m, tau, key)
                 free = ~key & full

@@ -189,13 +189,14 @@ def test_tails_match_enumeration_wherever_defined():
             if (r.numerator * n) // r.denominator < 1:
                 continue
             for m in range(comb(n, 2) + 1):
-                profile = family_profile(n, m, r)
                 tail = covmax_tail(n, m, r)
                 if tail is not None:
-                    assert tail == max(profile.vertex_values), ("covmax", n, m, r)
+                    assert tail == max(family_profile(n, m, r, "vertex")), \
+                        ("covmax", n, m, r)
                 tail = coemax_tail(n, m, r)
                 if tail is not None:
-                    assert tail == max(profile.edge_values), ("coemax", n, m, r)
+                    assert tail == max(family_profile(n, m, r, "edge")), \
+                        ("coemax", n, m, r)
 
 
 def test_complete_minus_two_disjoint_edges_drops_below_full_tail():
@@ -208,7 +209,7 @@ def test_complete_minus_two_disjoint_edges_drops_below_full_tail():
 
 def test_extremal_by_enumeration_examples():
     res = extremal_by_enumeration(6, 9, HALF, "covmin")
-    assert res.value == 1 and res.stat == "covmin"
+    assert res.value == 1
     assert copvc_value(res.witness, 3) == 1
     res = extremal_by_enumeration(3, 3, HALF, "covmin")
     assert res.value == 2
@@ -234,8 +235,8 @@ def test_formula_matches_enumeration_n_up_to_5():
 
 
 def test_family_profile_aligns_with_classes():
-    profile = family_profile(5, 6, HALF)
+    vertex = family_profile(5, 6, HALF, "vertex")
     classes = list(enumerate_gnm(5, 6))
-    assert len(profile.vertex_values) == len(classes)
-    assert profile.edge_values is not None
-    assert min(profile.vertex_values) == covmin(5, 6, HALF)
+    assert len(vertex) == len(classes)
+    assert family_profile(5, 6, HALF, "edge") is not None
+    assert min(vertex) == covmin(5, 6, HALF)
